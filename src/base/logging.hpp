@@ -82,13 +82,29 @@ inform(Args &&...args)
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
+namespace detail {
+
+/**
+ * PSI_ASSERT's failure path.  Out of line and cold, so an assertion
+ * costs its caller one compare and branch and never stops the
+ * compiler from inlining the function that holds it.
+ */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *file, int line, const Args &...args)
+{
+    panicImpl(file, line, concat(args...));
+}
+
+} // namespace detail
+
 /** panic() unless the given model invariant holds. */
 #define PSI_ASSERT(cond, ...)                                          \
     do {                                                               \
         if (!(cond)) {                                                 \
-            ::psi::detail::panicImpl(__FILE__, __LINE__,               \
-                ::psi::detail::concat("assertion '" #cond "' failed ", \
-                                      ##__VA_ARGS__));                 \
+            ::psi::detail::assertFailed(__FILE__, __LINE__,            \
+                                        "assertion '" #cond "' failed ",\
+                                        ##__VA_ARGS__);                \
         }                                                              \
     } while (0)
 

@@ -2,45 +2,37 @@
  * @file
  * The fast (non-accounting) KL0 execution engine.
  *
- * A statement-for-statement transliteration of the firmware
- * interpreter (src/interp/) with every sequencer interaction removed:
- * no microinstruction stepping, no cache model, no work-file texture,
- * no module/branch tagging.  The instruction stream is the same
- * flattened, contiguous image of tagged words the fidelity engine
- * executes - replayed from the immutable kl0::CompiledProgram into
- * paged flat arrays - and the main loop dispatches on the instruction
- * tag token directly (computed goto under GCC/Clang, a switch
- * elsewhere).
+ * fast::FastEngine is the engine core (interp/engine_core.hpp) over
+ * the fast accounting policy: the same interpreter code as the
+ * fidelity engine, with every accounting hook an empty inline
+ * function - no microinstruction stepping, no cache model, no
+ * work-file texture, no module/branch tagging.  The instruction
+ * stream is the same flattened, contiguous image of tagged words the
+ * fidelity engine executes, replayed from the immutable
+ * kl0::CompiledProgram into paged flat arrays; argument registers and
+ * the two frame buffers are plain arrays.
  *
  * Fidelity contract: answers, solution sets, ordering and write/nl/tab
  * output are byte-identical to interp::Engine for any terminating
- * query, because the engine replicates
+ * query, because both run one core: the logical-address allocation
+ * order on every stack (so exported unbound variables print the same
+ * "_G<addr>" names), the binding and trailing rules and the frame and
+ * choice-point decisions are the same code.
  *
- *  - the exact logical-address allocation order on every stack (so
- *    exported unbound variables print the same "_G<addr>" names),
- *  - the younger-binds-to-older rule and conditional-trail bounds,
- *  - the frame-buffer alternation, lazy frame flushing, TRO and
- *    determinate-frame-reclamation decisions, and
- *  - the output-cap check order of the firmware built-ins.
+ * What the policy drops is the accounting: RunResult::steps and
+ * timeNs are reported as zero, and RunLimits::maxSteps is interpreted
+ * as a dispatch-count safety valve (the fidelity engine counts
+ * microinstructions, so the same numeric limit trips far later here).
  *
- * What is NOT replicated is the accounting: RunResult::steps and
- * timeNs are reported as zero, RunLimits::maxSteps is interpreted as
- * a dispatch-count safety valve (the fidelity engine counts
- * microinstructions, so the same numeric limit trips far later here),
- * and deadlineNs is honored with the same bounded granularity as the
- * fidelity loop (a periodic poll every 4096 dispatches).  The paper's
- * Tables 2-7 are therefore served exclusively by the fidelity engine.
- *
- * Only the default FirmwareOptions are modeled (frame buffers on,
- * trail buffering on, no runtime first-argument probing); the trail
- * buffer is represented by a flat trail stack at the same logical
- * positions, which is observationally identical (same trail tops in
- * choice points, same LIFO unwind order).  Compile-time first-argument
- * indexing (kl0::CompileOptions::firstArgIndexing) IS supported: an
- * IndexRef directory entry is resolved through the same heap-resident
- * index structure the fidelity engine walks, selecting a pre-built
- * ClauseRef chain, so the clause trial order - and therefore every
- * answer byte - is unchanged.
+ * Only the default FirmwareOptions are modeled, as constexpr values,
+ * so the ablation branches compile away (frame buffers on, trail
+ * buffering on, no runtime first-argument probing).  The work-file
+ * trail buffer is represented by a flat trail stack at the same
+ * logical positions, which is observationally identical (same trail
+ * tops in choice points, same LIFO unwind order).  Compile-time
+ * first-argument indexing (kl0::CompileOptions::firstArgIndexing) is
+ * supported: the core resolves an IndexRef directory entry through
+ * the same heap-resident index structure in both modes.
  */
 
 #ifndef PSI_FAST_FAST_ENGINE_HPP
@@ -48,17 +40,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "interp/engine_core.hpp"
 #include "interp/machine.hpp"
-#include "kl0/builtin_defs.hpp"
 #include "kl0/codegen.hpp"
 #include "kl0/compiled_program.hpp"
-#include "kl0/symbols.hpp"
 #include "mem/area.hpp"
 #include "mem/memory_system.hpp"
 #include "mem/tagged_word.hpp"
+#include "micro/fields.hpp"
 
 namespace psi {
 namespace fast {
@@ -98,136 +89,113 @@ class FlatArea
     void clear();
 
   private:
-    TaggedWord *page(std::uint32_t idx);
+    TaggedWord *
+    page(std::uint32_t idx)
+    {
+        TaggedWord *p = _pages[idx].get();
+        return p ? p : mapPage(idx);
+    }
+    /** Allocate page @p idx (zeroed) on its first write. */
+    TaggedWord *mapPage(std::uint32_t idx);
 
     std::vector<std::unique_ptr<TaggedWord[]>> _pages;
     std::vector<std::uint32_t> _mapped;
 };
 
-/** The token-threaded flat-dispatch KL0 engine. */
-class FastEngine
+/**
+ * The fast accounting policy: flat areas, plain register arrays and
+ * a flat trail; every charge is a no-op.
+ */
+class FastAcct
 {
   public:
-    FastEngine();
+    using Module = micro::Module;
+    using BranchOp = micro::BranchOp;
+    using WfMode = micro::WfMode;
 
-    /**
-     * Install a precompiled image: replay its poke log into the flat
-     * areas and adopt its symbol table and codegen snapshot, exactly
-     * as interp::Engine::load does for the firmware machine.
-     */
-    void load(const kl0::CompiledProgram &image);
+    static constexpr interp::FirmwareOptions fw() { return {}; }
+    /** Scratch memory the shared CodeGen emits query code into; its
+     *  poke log is mirrored into the flat heap after each compile. */
+    MemorySystem &codeMem() { return _qmem; }
 
-    bool loaded() const { return _loaded; }
+    // ----- memory -----------------------------------------------------
+    TaggedWord
+    readMem(Module, const LogicalAddr &a, BranchOp,
+            WfMode = WfMode::None, WfMode = WfMode::None) const
+    {
+        return read(a);
+    }
+    void
+    writeMem(Module, const LogicalAddr &a, const TaggedWord &w,
+             BranchOp, WfMode = WfMode::None, WfMode = WfMode::None)
+    {
+        write(a, w);
+    }
+    void
+    pushMem(Module, const LogicalAddr &a, const TaggedWord &w,
+            BranchOp, WfMode = WfMode::None, WfMode = WfMode::None)
+    {
+        write(a, w);
+    }
+    TaggedWord peek(const LogicalAddr &a) const { return read(a); }
+    void
+    poke(const LogicalAddr &a, const TaggedWord &w)
+    {
+        _qmem.poke(a, w);
+        write(a, w);
+    }
 
-    /** Compile and run a query given as text. */
-    interp::RunResult solve(const std::string &query_text,
-                            const interp::RunLimits &limits =
-                                interp::RunLimits());
+    // ----- accounting -------------------------------------------------
+    void step(Module, BranchOp, WfMode = WfMode::None,
+              WfMode = WfMode::None, WfMode = WfMode::None)
+    {}
+    void texture(Module, int) {}
 
-    /** Compile and run a query term. */
-    interp::RunResult solve(const kl0::TermPtr &goal,
-                            const interp::RunLimits &limits =
-                                interp::RunLimits());
+    // ----- registers --------------------------------------------------
+    TaggedWord arg(std::uint32_t i) const { return _regs.a[i]; }
+    void setArg(std::uint32_t i, const TaggedWord &w) { _regs.a[i] = w; }
+    TaggedWord frame(int buf, std::uint32_t i) const
+    {
+        return _regs.fbuf[buf][i];
+    }
+    void setFrame(int buf, std::uint32_t i, const TaggedWord &w)
+    {
+        _regs.fbuf[buf][i] = w;
+    }
 
-    // ----- first-argument index instrumentation ------------------------
-    /** Calls dispatched through a first-argument index this run. */
-    std::uint64_t indexHits() const { return _idxHits; }
-    /** Indexed calls that fell back to the linear chain this run. */
-    std::uint64_t indexFallbacks() const { return _idxFallbacks; }
-    /** Clause candidates visited by the trial loop this run. */
-    std::uint64_t clauseTries() const { return _clauseTries; }
+    // ----- trail ------------------------------------------------------
+    void
+    trailPush(const LogicalAddr &cell)
+    {
+        write(LogicalAddr(Area::Trail, _regs.tt), {Tag::Ref, cell.pack()});
+        ++_regs.tt;
+    }
+    void trailFlush() {}
+    void unwindTrail(std::uint64_t to_tt);
+    std::uint64_t trailTop() const { return _regs.tt; }
+    void resetTrail(std::uint32_t base) { _regs.tt = base; }
+
+    // ----- limits and run lifecycle -----------------------------------
+    /** maxSteps counts dispatches. */
+    std::uint64_t tick() { return ++_dispatches; }
+    void reset();
+    void beginRun() { _dispatches = 0; }
+    std::uint64_t steps() const { return 0; }
+    std::uint64_t timeNs() const { return 0; }
+    kl0::QueryCode compileQuery(kl0::CodeGen &cg,
+                                const kl0::TermPtr &goal);
+
+    /** Register state a process switch saves. */
+    struct Saved
+    {
+        TaggedWord a[kl0::kMaxArity];         ///< argument registers
+        TaggedWord fbuf[2][kl0::kMaxLocals];  ///< frame buffers
+        std::uint32_t tt = interp::kStackBase; ///< trail stack top
+    };
+    Saved save() const { return _regs; }
+    void restore(const Saved &s) { _regs = s; }
 
   private:
-    using RunLimits = interp::RunLimits;
-    using RunResult = interp::RunResult;
-    using Activation = interp::Activation;
-    using FrameLoc = interp::FrameLoc;
-    using Deref = interp::Deref;
-
-    // ----- fast_engine.cpp: control -----------------------------------
-    void resetRun();
-    RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
-    void mainLoop(const kl0::QueryCode &qc, RunResult &result,
-                  const RunLimits &limits);
-    void loadArgs(std::uint32_t arity);
-    bool doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
-                bool last_call);
-    std::uint32_t resolveIndex(std::uint32_t root);
-    bool tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
-                    std::uint32_t arity, std::uint32_t cont_cp,
-                    std::uint32_t cont_env, std::uint32_t cut_b);
-    bool enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
-                     std::uint32_t cont_env, std::uint32_t cut_b);
-    bool backtrack();
-    void pushChoicePoint(std::uint32_t goal_cp, std::uint32_t cont_cp,
-                         std::uint32_t cont_env,
-                         std::uint32_t caller_frame_enc,
-                         std::uint32_t caller_global_base,
-                         std::uint32_t saved_gt, std::uint32_t saved_lt,
-                         std::uint32_t saved_tt, std::uint32_t saved_b,
-                         std::uint32_t next_clause_addr);
-    void pushEnvFrame();
-    void restoreEnv(std::uint32_t env_addr);
-    void flushFrame();
-    void doCut();
-    void reloadTrailBounds();
-    void extractSolution(const kl0::QueryCode &qc, RunResult &result);
-    kl0::TermPtr exportTerm(const TaggedWord &w, int depth = 0);
-
-    // ----- local frame access -----------------------------------------
-    TaggedWord readLocal(std::uint32_t slot);
-    void writeLocal(std::uint32_t slot, const TaggedWord &w);
-    TaggedWord fetchVarArg(const VarSlot &vs);
-    TaggedWord newGlobalCell();
-
-    // ----- fast_unify.cpp: unification and trail ----------------------
-    Deref deref(const TaggedWord &w);
-    void bind(const LogicalAddr &cell, const TaggedWord &value);
-    void trailPush(const LogicalAddr &cell);
-    void unwindTrail(std::uint64_t to_tt);
-    std::uint64_t trailTop() const { return _tt; }
-    bool unify(const TaggedWord &a, const TaggedWord &b);
-    bool unifyHead(const TaggedWord &desc, const TaggedWord &arg);
-    TaggedWord instantiate(std::uint32_t skel_addr, bool is_cons);
-    bool unifySkeleton(std::uint32_t skel_addr, bool is_cons,
-                       const TaggedWord &term);
-    bool unifySkelElement(const TaggedWord &skel_elem,
-                          const TaggedWord &cell_value);
-
-    // ----- fast_builtins.cpp ------------------------------------------
-    bool execBuiltin(kl0::Builtin b);
-    bool execIs();
-    bool evalArith(const TaggedWord &w, std::int64_t &out);
-    /**
-     * Resolved arithmetic operator of a functor.  evalArith runs
-     * once per expression node, so matching the operator by name
-     * there dominates arith-heavy profiles; this memoizes the
-     * string match per functor index (cleared on load, grown when a
-     * query compile interns new functors).
-     */
-    enum class ArithOp : std::uint8_t
-    {
-        Unresolved = 0,
-        NotArith,                          ///< not an arith functor
-        Neg, Ident, Abs, BitNot,           // arity 1
-        Add, Sub, Mul, IDiv, Mod, Rem,     // arity 2
-        Min, Max, Shl, Shr, BitAnd, BitOr, BitXor,
-    };
-    ArithOp arithOpFor(std::uint32_t functor_idx);
-    bool arithCompare(kl0::Builtin b);
-    bool termCompare(const TaggedWord &a, const TaggedWord &b,
-                     int &out);
-    void writeTerm(const TaggedWord &w, int depth = 0);
-    bool builtinFunctor();
-    bool builtinArg();
-    bool builtinUniv();
-    bool builtinVector(kl0::Builtin b);
-    bool builtinGlobal(kl0::Builtin b);
-    bool builtinProcessCall();
-    bool runNested(std::uint32_t functor_idx,
-                   std::uint64_t max_dispatches);
-
-    // ----- flat memory access -----------------------------------------
     TaggedWord
     read(const LogicalAddr &a) const
     {
@@ -238,46 +206,36 @@ class FastEngine
     {
         _area[static_cast<int>(a.area)].write(a.offset, w);
     }
-    TaggedWord heapRead(std::uint32_t off) const
+
+    FlatArea _area[kNumAreas];
+    MemorySystem _qmem;
+    std::vector<PokeRecord> _queryPokes;
+    Saved _regs;
+    std::uint64_t _dispatches = 0; ///< maxSteps proxy
+};
+
+/** The flat-dispatch KL0 engine. */
+class FastEngine : public interp::EngineCore<FastAcct>
+{
+  public:
+    FastEngine() = default;
+
+    /**
+     * Install a precompiled image: replay its poke log into the flat
+     * areas and adopt its symbol table and codegen snapshot, exactly
+     * as interp::Engine::load does for the firmware machine.
+     */
+    void
+    load(const kl0::CompiledProgram &image)
     {
-        return _area[static_cast<int>(Area::Heap)].read(off);
+        EngineCore::load(image);
+        _loaded = true;
     }
 
-    // ----- components --------------------------------------------------
-    FlatArea _area[kNumAreas];
-    kl0::SymbolTable _syms;
-    /** Scratch memory the shared CodeGen emits query code into; its
-     *  poke log is mirrored into the flat heap after each compile. */
-    MemorySystem _qmem;
-    kl0::CodeGen _codegen;
-    std::vector<PokeRecord> _queryPokes;
-    bool _loaded = false;
+    bool loaded() const { return _loaded; }
 
-    // ----- machine registers -------------------------------------------
-    std::uint32_t _gt = interp::kStackBase;  ///< global stack top
-    std::uint32_t _lt = interp::kStackBase;  ///< local stack top
-    std::uint32_t _ct = interp::kStackBase;  ///< control stack top
-    std::uint32_t _tt = interp::kStackBase;  ///< trail stack top
-    std::uint32_t _b = interp::kNoChoice;    ///< newest choice point
-    std::uint32_t _hb = 0;                   ///< global top at newest CP
-    std::uint32_t _hl = 0;                   ///< local top at newest CP
-    std::uint32_t _cp = 0;                   ///< code pointer
-    Activation _act;
-    int _curBuf = 0;
-    TaggedWord _a[kl0::kMaxArity];           ///< argument registers
-    TaggedWord _fbuf[2][kl0::kMaxLocals];    ///< WF frame buffers
-    std::uint32_t _vecTop = kl0::kVectorBase;
-    std::uint64_t _inferences = 0;
-    std::uint64_t _dispatches = 0;           ///< maxSteps proxy
-    std::uint64_t _idxHits = 0;              ///< indexed dispatches
-    std::uint64_t _idxFallbacks = 0;         ///< linear-chain fallbacks
-    std::uint64_t _clauseTries = 0;          ///< clause candidates tried
-    std::string _out;
-    std::size_t _maxOutputBytes = 1 << 20;
-    bool _failFlag = false;
-    bool _inProcessCall = false;
-    std::vector<bool> _warnedUndefined;
-    std::vector<ArithOp> _arithOps; ///< functor idx -> operator memo
+  private:
+    bool _loaded = false;
 };
 
 } // namespace fast

@@ -11,44 +11,23 @@
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
+#include "fast/fast_engine.hpp"
 #include "kl0/builtin_defs.hpp"
 
 namespace psi {
 namespace interp {
 
-namespace {
-
-constexpr auto kScr = micro::WfMode::Direct00_0F;
-constexpr auto kReg = micro::WfMode::Direct10_3F;
-constexpr auto kConstWf = micro::WfMode::Constant;
-constexpr auto kNoWf = micro::WfMode::None;
-
-} // namespace
-
+template <class A>
 bool
-Engine::execIs()
-{
-    std::int64_t v = 0;
-    if (!evalArith(readA(1, Module::Built), v))
-        return false;
-    if (v < INT32_MIN || v > INT32_MAX) {
-        warn("is/2: result ", v, " overflows the 32-bit data part");
-        return false;
-    }
-    return unify(readA(0, Module::Built),
-                 TaggedWord::makeInt(static_cast<std::int32_t>(v)));
-}
-
-bool
-Engine::execBuiltin(kl0::Builtin b)
+EngineCore<A>::execBuiltin(kl0::Builtin b)
 {
     using kl0::Builtin;
 
     // Built-in entry dispatch (indexed jump through the builtin id)
     // plus argument staging from the A registers.
-    _seq.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf, kNoWf);
-    _seq.texture(Module::GetArg, 2);
-    _seq.texture(Module::Built, 4);
+    _acct.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf, kNoWf);
+    _acct.texture(Module::GetArg, 2);
+    _acct.texture(Module::Built, 4);
 
     switch (b) {
       case Builtin::True:
@@ -66,12 +45,12 @@ Engine::execBuiltin(kl0::Builtin b)
         std::uint32_t save_hb = _hb;
         std::uint32_t save_hl = _hl;
         std::uint32_t save_gt = _gt;
-        std::uint64_t mark = trailTop();
+        std::uint64_t mark = _acct.trailTop();
         _hb = 0xffffffffu;
         _hl = 0xffffffffu;
         bool unified =
             unify(readA(0, Module::Built), readA(1, Module::Built));
-        unwindTrail(mark);
+        _acct.unwindTrail(mark);
         _gt = save_gt;
         _hb = save_hb;
         _hl = save_hl;
@@ -158,8 +137,8 @@ Engine::execBuiltin(kl0::Builtin b)
         writeTerm(readA(0, Module::Built));
         return true;
       case Builtin::Nl:
-        _seq.step(Module::Built, BranchOp::T2Nop, kConstWf, kNoWf,
-                  kNoWf);
+        _acct.step(Module::Built, BranchOp::T2Nop, kConstWf, kNoWf,
+                   kNoWf);
         if (_out.size() < _maxOutputBytes)
             _out.push_back('\n');
         return true;
@@ -168,8 +147,8 @@ Engine::execBuiltin(kl0::Builtin b)
         if (!evalArith(readA(0, Module::Built), n) || n < 0)
             return false;
         for (std::int64_t i = 0; i < n; ++i) {
-            _seq.step(Module::Built, BranchOp::T1CondTrue, kConstWf,
-                      kScr, kNoWf);
+            _acct.step(Module::Built, BranchOp::T1CondTrue, kConstWf,
+                       kScr, kNoWf);
             if (_out.size() < _maxOutputBytes)
                 _out.push_back(' ');
         }
@@ -195,8 +174,9 @@ Engine::execBuiltin(kl0::Builtin b)
     panic("bad builtin id ", static_cast<int>(b));
 }
 
+template <class A>
 bool
-Engine::builtinVector(kl0::Builtin b)
+EngineCore<A>::builtinVector(kl0::Builtin b)
 {
     using kl0::Builtin;
 
@@ -210,13 +190,13 @@ Engine::builtinVector(kl0::Builtin b)
             return false;
         }
         std::uint32_t base = _vecTop;
-        _seq.writeMem(Module::Built, LogicalAddr(Area::Heap, base),
-                      TaggedWord::makeInt(n), BranchOp::T2Nop, kScr);
+        _acct.writeMem(Module::Built, LogicalAddr(Area::Heap, base),
+                       TaggedWord::makeInt(n), BranchOp::T2Nop, kScr);
         for (std::int32_t i = 0; i < n; ++i) {
-            _seq.writeMem(Module::Built,
-                          LogicalAddr(Area::Heap, base + 1 + i),
-                          TaggedWord::makeInt(0), BranchOp::T3Nop,
-                          kScr);
+            _acct.writeMem(Module::Built,
+                           LogicalAddr(Area::Heap, base + 1 + i),
+                           TaggedWord::makeInt(0), BranchOp::T3Nop,
+                           kScr);
         }
         _vecTop += static_cast<std::uint32_t>(n) + 1;
         return unify(readA(1, Module::Built),
@@ -227,8 +207,8 @@ Engine::builtinVector(kl0::Builtin b)
     if (dv.unbound || dv.word.tag != Tag::Vector)
         return false;
     LogicalAddr base = LogicalAddr::unpack(dv.word.data);
-    TaggedWord size = _seq.readMem(Module::Built, base,
-                                   BranchOp::T1CondFalse, kScr, kScr);
+    TaggedWord size = _acct.readMem(Module::Built, base,
+                                    BranchOp::T1CondFalse, kScr, kScr);
 
     if (b == Builtin::VectorSize) {
         return unify(readA(1, Module::Built), size);
@@ -242,7 +222,7 @@ Engine::builtinVector(kl0::Builtin b)
         return false;
 
     if (b == Builtin::VectorGet) {
-        TaggedWord w = _seq.readMem(
+        TaggedWord w = _acct.readMem(
             Module::Built, base.plus(1 + static_cast<std::uint32_t>(i)),
             BranchOp::T1Nop, kScr, kReg);
         return unify(readA(2, Module::Built), w);
@@ -251,13 +231,15 @@ Engine::builtinVector(kl0::Builtin b)
     // VectorSet: destructive, never trailed (heap vectors are the
     // PSI's non-backtrackable rewritable data).
     Deref dx = deref(readA(2, Module::Built), Module::Built);
-    _seq.writeMem(Module::Built,
-                  base.plus(1 + static_cast<std::uint32_t>(i)),
-                  dx.unbound ? TaggedWord{Tag::Ref, dx.cell.pack()}
+    _acct.writeMem(Module::Built,
+                   base.plus(1 + static_cast<std::uint32_t>(i)),
+                   dx.unbound ? TaggedWord{Tag::Ref, dx.cell.pack()}
                              : dx.word,
                   BranchOp::T2Nop, kReg);
     return true;
 }
+
+PSI_ENGINE_CORE_MEMBER(bool, execBuiltin(kl0::Builtin));
 
 } // namespace interp
 } // namespace psi

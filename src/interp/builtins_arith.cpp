@@ -11,27 +11,36 @@
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
+#include "fast/fast_engine.hpp"
 #include "kl0/builtin_defs.hpp"
 
 namespace psi {
 namespace interp {
 
-namespace {
-
-constexpr auto kScr = micro::WfMode::Direct00_0F;
-constexpr auto kConstWf = micro::WfMode::Constant;
-constexpr auto kNoWf = micro::WfMode::None;
-
-} // namespace
-
+template <class A>
 bool
-Engine::evalArith(const TaggedWord &w, std::int64_t &out)
+EngineCore<A>::execIs()
+{
+    std::int64_t v = 0;
+    if (!evalArith(readA(1, Module::Built), v))
+        return false;
+    if (v < INT32_MIN || v > INT32_MAX) {
+        warn("is/2: result ", v, " overflows the 32-bit data part");
+        return false;
+    }
+    return unify(readA(0, Module::Built),
+                 TaggedWord::makeInt(static_cast<std::int32_t>(v)));
+}
+
+template <class A>
+bool
+EngineCore<A>::evalArith(const TaggedWord &w, std::int64_t &out)
 {
     // Operand fetching is charged to get_arg (the paper singles out
     // built-in argument fetching as time-consuming); the ALU work is
     // charged to built.
-    _seq.texture(Module::GetArg, 2);
-    _seq.texture(Module::Built, 2);
+    _acct.texture(Module::GetArg, 2);
+    _acct.texture(Module::Built, 2);
     Deref d = deref(w, Module::GetArg);
     if (d.unbound) {
         warn("arithmetic: unbound variable");
@@ -68,55 +77,47 @@ Engine::evalArith(const TaggedWord &w, std::int64_t &out)
 
       case Tag::Struct: {
         LogicalAddr a = LogicalAddr::unpack(d.word.data);
-        TaggedWord f = _seq.readMem(Module::Built, a,
-                                    BranchOp::T1GotoJr, kScr, kScr);
+        TaggedWord f = _acct.readMem(Module::Built, a,
+                                     BranchOp::T1GotoJr, kScr, kScr);
         if (f.tag != Tag::Functor)
             return false;
-        const std::string &name = _syms.functorName(f.data);
-        std::uint32_t arity = _syms.functorArity(f.data);
-
-        if (arity == 1) {
-            std::int64_t x = 0;
-            TaggedWord ax = _seq.readMem(Module::GetArg, a.plus(1),
-                                         BranchOp::T1Nop, kScr, kScr);
-            if (!evalArith(ax, x))
-                return false;
-            _seq.step(Module::Built, BranchOp::T1Nop, kConstWf, kScr,
-                      kScr);
-            if (name == "-") { out = -x; return true; }
-            if (name == "+") { out = x; return true; }
-            if (name == "abs") { out = x < 0 ? -x : x; return true; }
-            if (name == "\\") { out = ~x; return true; }
-            warn("arithmetic: unknown function ", name, "/1");
-            return false;
-        }
-
-        if (arity == 2) {
+        const ArithOp op = arithOpFor(f.data);
+        const std::uint32_t arity = op >= ArithOp::Add   ? 2
+                                    : op >= ArithOp::Neg ? 1
+                                    : _syms.functorArity(f.data);
+        if (arity == 1 || arity == 2) {
             std::int64_t x = 0;
             std::int64_t y = 0;
-            TaggedWord ax = _seq.readMem(Module::GetArg, a.plus(1),
-                                         BranchOp::T1Nop, kScr, kScr);
+            TaggedWord ax = _acct.readMem(Module::GetArg, a.plus(1),
+                                          BranchOp::T1Nop, kScr, kScr);
             if (!evalArith(ax, x))
                 return false;
-            TaggedWord ay = _seq.readMem(Module::GetArg, a.plus(2),
-                                         BranchOp::T1Nop, kScr, kScr);
-            if (!evalArith(ay, y))
-                return false;
+            if (arity == 2) {
+                TaggedWord ay = _acct.readMem(Module::GetArg, a.plus(2),
+                                              BranchOp::T1Nop, kScr,
+                                              kScr);
+                if (!evalArith(ay, y))
+                    return false;
+            }
             // The ALU operation step.
-            _seq.step(Module::Built, BranchOp::T1Nop, kScr, kScr,
-                      kScr);
-            if (name == "+") { out = x + y; return true; }
-            if (name == "-") { out = x - y; return true; }
-            if (name == "*") { out = x * y; return true; }
-            if (name == "//" || name == "/") {
+            _acct.step(Module::Built, BranchOp::T1Nop,
+                       arity == 1 ? kConstWf : kScr, kScr, kScr);
+            switch (op) {
+              case ArithOp::Neg: out = -x; return true;
+              case ArithOp::Ident: out = x; return true;
+              case ArithOp::Abs: out = x < 0 ? -x : x; return true;
+              case ArithOp::BitNot: out = ~x; return true;
+              case ArithOp::Add: out = x + y; return true;
+              case ArithOp::Sub: out = x - y; return true;
+              case ArithOp::Mul: out = x * y; return true;
+              case ArithOp::IDiv:
                 if (y == 0) {
                     warn("arithmetic: division by zero");
                     return false;
                 }
                 out = x / y;
                 return true;
-            }
-            if (name == "mod") {
+              case ArithOp::Mod:
                 if (y == 0) {
                     warn("arithmetic: mod by zero");
                     return false;
@@ -125,24 +126,23 @@ Engine::evalArith(const TaggedWord &w, std::int64_t &out)
                 if (out != 0 && ((out < 0) != (y < 0)))
                     out += y;
                 return true;
-            }
-            if (name == "rem") {
+              case ArithOp::Rem:
                 if (y == 0)
                     return false;
                 out = x % y;
                 return true;
+              case ArithOp::Min: out = x < y ? x : y; return true;
+              case ArithOp::Max: out = x > y ? x : y; return true;
+              case ArithOp::Shl: out = x << (y & 31); return true;
+              case ArithOp::Shr: out = x >> (y & 31); return true;
+              case ArithOp::BitAnd: out = x & y; return true;
+              case ArithOp::BitOr: out = x | y; return true;
+              case ArithOp::BitXor: out = x ^ y; return true;
+              default: break; // not an arithmetic function
             }
-            if (name == "min") { out = x < y ? x : y; return true; }
-            if (name == "max") { out = x > y ? x : y; return true; }
-            if (name == "<<") { out = x << (y & 31); return true; }
-            if (name == ">>") { out = x >> (y & 31); return true; }
-            if (name == "/\\") { out = x & y; return true; }
-            if (name == "\\/") { out = x | y; return true; }
-            if (name == "xor") { out = x ^ y; return true; }
-            warn("arithmetic: unknown function ", name, "/2");
-            return false;
         }
-        warn("arithmetic: unknown function ", name, "/", arity);
+        warn("arithmetic: unknown function ", _syms.functorName(f.data),
+             "/", arity);
         return false;
       }
 
@@ -153,8 +153,46 @@ Engine::evalArith(const TaggedWord &w, std::int64_t &out)
     }
 }
 
+template <class A>
+typename EngineCore<A>::ArithOp
+EngineCore<A>::arithOpFor(std::uint32_t functor_idx)
+{
+    if (functor_idx >= _arithOps.size())
+        _arithOps.resize(_syms.functorCount(), ArithOp::Unresolved);
+    ArithOp &slot = _arithOps[functor_idx];
+    if (slot != ArithOp::Unresolved)
+        return slot;
+
+    const std::string &name = _syms.functorName(functor_idx);
+    const std::uint32_t arity = _syms.functorArity(functor_idx);
+    ArithOp op = ArithOp::NotArith;
+    if (arity == 1) {
+        if (name == "-") op = ArithOp::Neg;
+        else if (name == "+") op = ArithOp::Ident;
+        else if (name == "abs") op = ArithOp::Abs;
+        else if (name == "\\") op = ArithOp::BitNot;
+    } else if (arity == 2) {
+        if (name == "+") op = ArithOp::Add;
+        else if (name == "-") op = ArithOp::Sub;
+        else if (name == "*") op = ArithOp::Mul;
+        else if (name == "//" || name == "/") op = ArithOp::IDiv;
+        else if (name == "mod") op = ArithOp::Mod;
+        else if (name == "rem") op = ArithOp::Rem;
+        else if (name == "min") op = ArithOp::Min;
+        else if (name == "max") op = ArithOp::Max;
+        else if (name == "<<") op = ArithOp::Shl;
+        else if (name == ">>") op = ArithOp::Shr;
+        else if (name == "/\\") op = ArithOp::BitAnd;
+        else if (name == "\\/") op = ArithOp::BitOr;
+        else if (name == "xor") op = ArithOp::BitXor;
+    }
+    slot = op;
+    return op;
+}
+
+template <class A>
 bool
-Engine::arithCompare(kl0::Builtin b)
+EngineCore<A>::arithCompare(kl0::Builtin b)
 {
     using kl0::Builtin;
 
@@ -165,7 +203,7 @@ Engine::arithCompare(kl0::Builtin b)
     if (!evalArith(readA(1, Module::Built), y))
         return false;
     // The comparison step.
-    _seq.step(Module::Built, BranchOp::T1CondTrue, kScr, kScr, kNoWf);
+    _acct.step(Module::Built, BranchOp::T1CondTrue, kScr, kScr, kNoWf);
     switch (b) {
       case Builtin::Lt: return x < y;
       case Builtin::Gt: return x > y;
@@ -177,6 +215,10 @@ Engine::arithCompare(kl0::Builtin b)
         panic("arithCompare: bad builtin");
     }
 }
+
+PSI_ENGINE_CORE_MEMBER(bool, execIs());
+PSI_ENGINE_CORE_MEMBER(bool, evalArith(const TaggedWord &, std::int64_t &));
+PSI_ENGINE_CORE_MEMBER(bool, arithCompare(kl0::Builtin));
 
 } // namespace interp
 } // namespace psi

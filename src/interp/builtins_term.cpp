@@ -1,33 +1,27 @@
 /**
  * @file
  * Term inspection / construction built-ins (functor/3, arg/3, =../2),
- * the standard-order comparison used by ==/2 and @</2, and the
- * write/1 output firmware.
+ * the standard-order comparison used by ==/2 and @</2, the write/1
+ * output firmware, and the host-side export of answers to kl0 terms.
  */
 
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
 #include "base/strutil.hpp"
+#include "fast/fast_engine.hpp"
 
 namespace psi {
 namespace interp {
 
-namespace {
-
-constexpr auto kScr = micro::WfMode::Direct00_0F;
-constexpr auto kReg = micro::WfMode::Direct10_3F;
-constexpr auto kNoWf = micro::WfMode::None;
-
-} // namespace
-
+template <class A>
 bool
-Engine::termCompare(const TaggedWord &a, const TaggedWord &b, int &out)
+EngineCore<A>::termCompare(const TaggedWord &a, const TaggedWord &b, int &out)
 {
-    _seq.texture(Module::Built, 2);
+    _acct.texture(Module::Built, 2);
     Deref da = deref(a, Module::Built);
     Deref db = deref(b, Module::Built);
-    _seq.step(Module::Built, BranchOp::T1CaseTag, kScr, kScr, kNoWf);
+    _acct.step(Module::Built, BranchOp::T1CaseTag, kScr, kScr, kNoWf);
 
     auto order = [](const Deref &d) {
         if (d.unbound)
@@ -91,8 +85,8 @@ Engine::termCompare(const TaggedWord &a, const TaggedWord &b, int &out)
                 return;
             }
             LogicalAddr a = LogicalAddr::unpack(d.word.data);
-            TaggedWord f = _seq.readMem(Module::Built, a,
-                                        BranchOp::T1Nop, kScr, kScr);
+            TaggedWord f = _acct.readMem(Module::Built, a,
+                                         BranchOp::T1Nop, kScr, kScr);
             arity = _syms.functorArity(f.data);
             name = _syms.functorName(f.data);
             args = a.plus(1);
@@ -115,10 +109,10 @@ Engine::termCompare(const TaggedWord &a, const TaggedWord &b, int &out)
             return true;
         }
         for (std::uint32_t k = 0; k < na; ++k) {
-            TaggedWord va = _seq.readMem(Module::Built, aa.plus(k),
-                                         BranchOp::T1Nop, kScr, kScr);
-            TaggedWord vb = _seq.readMem(Module::Built, ab.plus(k),
-                                         BranchOp::T1Nop, kScr, kScr);
+            TaggedWord va = _acct.readMem(Module::Built, aa.plus(k),
+                                          BranchOp::T1Nop, kScr, kScr);
+            TaggedWord vb = _acct.readMem(Module::Built, ab.plus(k),
+                                          BranchOp::T1Nop, kScr, kScr);
             if (!termCompare(va, vb, out))
                 return false;
             if (out != 0)
@@ -132,17 +126,11 @@ Engine::termCompare(const TaggedWord &a, const TaggedWord &b, int &out)
     }
 }
 
-bool
-Engine::structuralEq(const TaggedWord &a, const TaggedWord &b)
-{
-    int c = 0;
-    return termCompare(a, b, c) && c == 0;
-}
-
+template <class A>
 void
-Engine::writeTerm(const TaggedWord &w, int depth)
+EngineCore<A>::writeTerm(const TaggedWord &w, int depth)
 {
-    _seq.texture(Module::Built, 2);
+    _acct.texture(Module::Built, 2);
     auto put = [this](const std::string &s) {
         if (_out.size() < _maxOutputBytes)
             _out += s;
@@ -154,7 +142,7 @@ Engine::writeTerm(const TaggedWord &w, int depth)
     }
 
     Deref d = deref(w, Module::Built);
-    _seq.step(Module::Built, BranchOp::T1CaseTag, kScr, kNoWf, kNoWf);
+    _acct.step(Module::Built, BranchOp::T1CaseTag, kScr, kNoWf, kNoWf);
 
     if (d.unbound) {
         put("_G" + std::to_string(d.cell.pack()));
@@ -182,12 +170,12 @@ Engine::writeTerm(const TaggedWord &w, int depth)
             if (!first)
                 put(",");
             first = false;
-            TaggedWord car = _seq.readMem(Module::Built, a,
-                                          BranchOp::T1Nop, kScr, kScr);
+            TaggedWord car = _acct.readMem(Module::Built, a,
+                                           BranchOp::T1Nop, kScr, kScr);
             writeTerm(car, depth + 1);
-            TaggedWord cdr = _seq.readMem(Module::Built, a.plus(1),
-                                          BranchOp::T1CaseTag, kScr,
-                                          kScr);
+            TaggedWord cdr = _acct.readMem(Module::Built, a.plus(1),
+                                           BranchOp::T1CaseTag, kScr,
+                                           kScr);
             Deref dc = deref(cdr, Module::Built);
             if (dc.unbound) {
                 put("|_G" + std::to_string(dc.cell.pack()));
@@ -208,16 +196,16 @@ Engine::writeTerm(const TaggedWord &w, int depth)
       }
       case Tag::Struct: {
         LogicalAddr a = LogicalAddr::unpack(d.word.data);
-        TaggedWord f = _seq.readMem(Module::Built, a, BranchOp::T1Nop,
-                                    kScr, kScr);
+        TaggedWord f = _acct.readMem(Module::Built, a, BranchOp::T1Nop,
+                                     kScr, kScr);
         put(_syms.functorName(f.data));
         put("(");
         std::uint32_t n = _syms.functorArity(f.data);
         for (std::uint32_t k = 1; k <= n; ++k) {
             if (k > 1)
                 put(",");
-            TaggedWord v = _seq.readMem(Module::Built, a.plus(k),
-                                        BranchOp::T1Nop, kScr, kScr);
+            TaggedWord v = _acct.readMem(Module::Built, a.plus(k),
+                                         BranchOp::T1Nop, kScr, kScr);
             writeTerm(v, depth + 1);
         }
         put(")");
@@ -229,8 +217,9 @@ Engine::writeTerm(const TaggedWord &w, int depth)
     }
 }
 
+template <class A>
 bool
-Engine::builtinFunctor()
+EngineCore<A>::builtinFunctor()
 {
     Deref d = deref(readA(0, Module::Built), Module::Built);
 
@@ -251,8 +240,8 @@ Engine::builtinFunctor()
             break;
           case Tag::Struct: {
             LogicalAddr a = LogicalAddr::unpack(d.word.data);
-            TaggedWord f = _seq.readMem(Module::Built, a,
-                                        BranchOp::T1Nop, kScr, kScr);
+            TaggedWord f = _acct.readMem(Module::Built, a,
+                                         BranchOp::T1Nop, kScr, kScr);
             fw = {Tag::Atom, _syms.atom(_syms.functorName(f.data))};
             arity =
                 static_cast<std::int32_t>(_syms.functorArity(f.data));
@@ -286,9 +275,9 @@ Engine::builtinFunctor()
     if (name == "." && n == 2) {
         for (int k = 0; k < 2; ++k) {
             LogicalAddr cell(Area::Global, _gt);
-            _seq.pushMem(Module::Built, cell,
-                         {Tag::Ref, cell.pack()}, BranchOp::T3Nop,
-                         kScr);
+            _acct.pushMem(Module::Built, cell,
+                          {Tag::Ref, cell.pack()}, BranchOp::T3Nop,
+                          kScr);
             ++_gt;
         }
         bind(d.cell, {Tag::List, LogicalAddr(Area::Global, base).pack()},
@@ -297,13 +286,13 @@ Engine::builtinFunctor()
     }
     std::uint32_t f =
         _syms.functor(name, static_cast<std::uint32_t>(n));
-    _seq.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
-                 {Tag::Functor, f}, BranchOp::T3Nop, kScr);
+    _acct.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
+                  {Tag::Functor, f}, BranchOp::T3Nop, kScr);
     ++_gt;
     for (std::int32_t k = 0; k < n; ++k) {
         LogicalAddr cell(Area::Global, _gt);
-        _seq.pushMem(Module::Built, cell, {Tag::Ref, cell.pack()},
-                     BranchOp::T3Nop, kScr);
+        _acct.pushMem(Module::Built, cell, {Tag::Ref, cell.pack()},
+                      BranchOp::T3Nop, kScr);
         ++_gt;
     }
     bind(d.cell, {Tag::Struct, LogicalAddr(Area::Global, base).pack()},
@@ -311,8 +300,9 @@ Engine::builtinFunctor()
     return true;
 }
 
+template <class A>
 bool
-Engine::builtinArg()
+EngineCore<A>::builtinArg()
 {
     Deref dn = deref(readA(0, Module::Built), Module::Built);
     Deref dt = deref(readA(1, Module::Built), Module::Built);
@@ -326,7 +316,7 @@ Engine::builtinArg()
         if (n > 2)
             return false;
         LogicalAddr a = LogicalAddr::unpack(dt.word.data);
-        TaggedWord v = _seq.readMem(
+        TaggedWord v = _acct.readMem(
             Module::Built,
             a.plus(static_cast<std::uint32_t>(n - 1)),
             BranchOp::T1Nop, kScr, kReg);
@@ -334,11 +324,11 @@ Engine::builtinArg()
     }
     if (dt.word.tag == Tag::Struct) {
         LogicalAddr a = LogicalAddr::unpack(dt.word.data);
-        TaggedWord f = _seq.readMem(Module::Built, a,
-                                    BranchOp::T1CondFalse, kScr, kScr);
+        TaggedWord f = _acct.readMem(Module::Built, a,
+                                     BranchOp::T1CondFalse, kScr, kScr);
         if (n > static_cast<std::int32_t>(_syms.functorArity(f.data)))
             return false;
-        TaggedWord v = _seq.readMem(
+        TaggedWord v = _acct.readMem(
             Module::Built, a.plus(static_cast<std::uint32_t>(n)),
             BranchOp::T1Nop, kScr, kReg);
         return unify(readA(2, Module::Built), v);
@@ -346,8 +336,9 @@ Engine::builtinArg()
     return false;
 }
 
+template <class A>
 bool
-Engine::builtinUniv()
+EngineCore<A>::builtinUniv()
 {
     Deref dt = deref(readA(0, Module::Built), Module::Built);
 
@@ -364,23 +355,23 @@ Engine::builtinUniv()
             LogicalAddr a = LogicalAddr::unpack(dt.word.data);
             items.push_back({Tag::Atom, _syms.atom(".")});
             for (int k = 0; k < 2; ++k) {
-                items.push_back(_seq.readMem(Module::Built, a.plus(k),
-                                             BranchOp::T1Nop, kScr,
-                                             kScr));
+                items.push_back(_acct.readMem(Module::Built, a.plus(k),
+                                              BranchOp::T1Nop, kScr,
+                                              kScr));
             }
             break;
           }
           case Tag::Struct: {
             LogicalAddr a = LogicalAddr::unpack(dt.word.data);
-            TaggedWord f = _seq.readMem(Module::Built, a,
-                                        BranchOp::T1Nop, kScr, kScr);
+            TaggedWord f = _acct.readMem(Module::Built, a,
+                                         BranchOp::T1Nop, kScr, kScr);
             items.push_back(
                 {Tag::Atom, _syms.atom(_syms.functorName(f.data))});
             std::uint32_t n = _syms.functorArity(f.data);
             for (std::uint32_t k = 1; k <= n; ++k) {
-                items.push_back(_seq.readMem(Module::Built, a.plus(k),
-                                             BranchOp::T1Nop, kScr,
-                                             kScr));
+                items.push_back(_acct.readMem(Module::Built, a.plus(k),
+                                              BranchOp::T1Nop, kScr,
+                                              kScr));
             }
             break;
           }
@@ -391,11 +382,11 @@ Engine::builtinUniv()
         TaggedWord tail = {Tag::Nil, 0};
         for (auto it = items.rbegin(); it != items.rend(); ++it) {
             std::uint32_t base = _gt;
-            _seq.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
-                         *it, BranchOp::T3Nop, kScr);
+            _acct.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
+                          *it, BranchOp::T3Nop, kScr);
             ++_gt;
-            _seq.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
-                         tail, BranchOp::T3Nop, kScr);
+            _acct.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
+                          tail, BranchOp::T3Nop, kScr);
             ++_gt;
             tail = {Tag::List, LogicalAddr(Area::Global, base).pack()};
         }
@@ -410,10 +401,10 @@ Engine::builtinUniv()
     TaggedWord cur = dl.word;
     while (true) {
         LogicalAddr a = LogicalAddr::unpack(cur.data);
-        items.push_back(_seq.readMem(Module::Built, a,
-                                     BranchOp::T1Nop, kScr, kScr));
-        TaggedWord cdr = _seq.readMem(Module::Built, a.plus(1),
-                                      BranchOp::T1CaseTag, kScr, kScr);
+        items.push_back(_acct.readMem(Module::Built, a,
+                                      BranchOp::T1Nop, kScr, kScr));
+        TaggedWord cdr = _acct.readMem(Module::Built, a.plus(1),
+                                       BranchOp::T1CaseTag, kScr, kScr);
         Deref dc = deref(cdr, Module::Built);
         if (dc.unbound)
             return false;
@@ -444,8 +435,8 @@ Engine::builtinUniv()
     if (name == "." && n == 2) {
         for (std::uint32_t k = 1; k <= 2; ++k) {
             Deref dk = deref(items[k], Module::Built);
-            _seq.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
-                         dk.unbound ? TaggedWord{Tag::Ref,
+            _acct.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
+                          dk.unbound ? TaggedWord{Tag::Ref,
                                                  dk.cell.pack()}
                                     : dk.word,
                          BranchOp::T3Nop, kScr);
@@ -456,14 +447,14 @@ Engine::builtinUniv()
              Module::Built);
         return true;
     }
-    _seq.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
-                 {Tag::Functor, _syms.functor(name, n)},
-                 BranchOp::T3Nop, kScr);
+    _acct.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
+                  {Tag::Functor, _syms.functor(name, n)},
+                  BranchOp::T3Nop, kScr);
     ++_gt;
     for (std::uint32_t k = 1; k <= n; ++k) {
         Deref dk = deref(items[k], Module::Built);
-        _seq.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
-                     dk.unbound
+        _acct.pushMem(Module::Built, LogicalAddr(Area::Global, _gt),
+                      dk.unbound
                          ? TaggedWord{Tag::Ref, dk.cell.pack()}
                          : dk.word,
                      BranchOp::T3Nop, kScr);
@@ -474,6 +465,139 @@ Engine::builtinUniv()
          Module::Built);
     return true;
 }
+
+// ----- EngineCore: answer export (host-only, unaccounted) ------------
+
+template <class A>
+void
+EngineCore<A>::extractSolution(const kl0::QueryCode &qc,
+                               RunResult &result)
+{
+    Solution sol;
+    for (const auto &kv : qc.vars) {
+        const kl0::SlotRef &sr = kv.second;
+        TaggedWord w;
+        if (sr.global) {
+            w = _acct.peek(LogicalAddr(Area::Global,
+                                       _act.globalBase + sr.index));
+        } else if (_act.frame.kind == FrameLoc::Kind::Stack) {
+            w = _acct.peek(LogicalAddr(Area::Local,
+                                       _act.frame.addr + sr.index));
+        } else if (_act.frame.inBuffer()) {
+            w = _acct.frame(bufIndex(_act.frame), sr.index);
+        }
+        if (w.tag == Tag::Undef) {
+            sol.bindings[kv.first] = kl0::Term::var("_" + kv.first);
+        } else {
+            sol.bindings[kv.first] = exportTerm(w);
+        }
+    }
+    result.solutions.push_back(std::move(sol));
+}
+
+template <class A>
+kl0::TermPtr
+EngineCore<A>::exportTerm(const TaggedWord &w)
+{
+    // A compound whose arguments are being exported.  The walk keeps
+    // these on the heap, so list spines and nesting of any depth
+    // export without recursion; terms nested deeper than the cap
+    // (cyclic ones included) are cut off as '...'.
+    struct Pending
+    {
+        std::uint32_t functor; ///< kCons for a list cell
+        std::uint32_t arity;
+        LogicalAddr args;      ///< address of argument 1
+        std::vector<kl0::TermPtr> done;
+    };
+    constexpr std::uint32_t kCons = 0xffffffffu;
+    constexpr std::size_t kMaxDepth = 100000;
+    std::vector<Pending> stack;
+    TaggedWord cur = w;
+    for (;;) {
+        kl0::TermPtr leaf;
+        // Dereference, then either finish a leaf or open a compound.
+        while (cur.tag == Tag::Ref) {
+            TaggedWord inner = _acct.peek(LogicalAddr::unpack(cur.data));
+            if (inner.tag == Tag::Ref && inner.data == cur.data)
+                break;
+            cur = inner;
+        }
+        if (stack.size() > kMaxDepth) {
+            leaf = kl0::Term::atom("...");
+        } else {
+            switch (cur.tag) {
+              case Tag::Ref:
+                leaf = kl0::Term::var("_G" + std::to_string(cur.data));
+                break;
+              case Tag::Undef:
+                leaf = kl0::Term::var("_U");
+                break;
+              case Tag::Atom:
+                leaf = kl0::Term::atom(_syms.atomName(cur.data));
+                break;
+              case Tag::Int:
+                leaf = kl0::Term::integer(cur.asInt());
+                break;
+              case Tag::Nil:
+                leaf = kl0::Term::nil();
+                break;
+              case Tag::List:
+                stack.push_back({kCons, 2, LogicalAddr::unpack(cur.data),
+                                 {}});
+                break;
+              case Tag::Struct: {
+                LogicalAddr a = LogicalAddr::unpack(cur.data);
+                TaggedWord f = _acct.peek(a);
+                PSI_ASSERT(f.tag == Tag::Functor, "bad structure word");
+                stack.push_back({f.data, _syms.functorArity(f.data),
+                                 a.plus(1), {}});
+                break;
+              }
+              case Tag::Vector:
+                leaf = kl0::Term::compound(
+                    "$vector",
+                    {kl0::Term::integer(
+                        _acct.peek(LogicalAddr::unpack(cur.data))
+                            .asInt())});
+                break;
+              default:
+                leaf = kl0::Term::atom(std::string("$bad_") +
+                                       tagName(cur.tag));
+            }
+        }
+        // Hand finished terms up to their parents until one still
+        // has arguments to export (or the root is complete).
+        while (leaf || stack.back().done.size() ==
+                           stack.back().arity) {
+            if (!leaf) {
+                Pending &top = stack.back();
+                leaf = kl0::Term::compound(
+                    top.functor == kCons ? std::string(".")
+                                         : _syms.functorName(top.functor),
+                    std::move(top.done));
+                stack.pop_back();
+            }
+            if (stack.empty())
+                return leaf;
+            stack.back().done.push_back(std::move(leaf));
+            leaf = nullptr;
+        }
+        Pending &top = stack.back();
+        top.done.reserve(top.arity);
+        cur = _acct.peek(top.args.plus(
+            static_cast<std::uint32_t>(top.done.size())));
+    }
+}
+
+PSI_ENGINE_CORE_MEMBER(bool, termCompare(const TaggedWord &,
+                                         const TaggedWord &, int &));
+PSI_ENGINE_CORE_MEMBER(void, writeTerm(const TaggedWord &, int));
+PSI_ENGINE_CORE_MEMBER(bool, builtinFunctor());
+PSI_ENGINE_CORE_MEMBER(bool, builtinArg());
+PSI_ENGINE_CORE_MEMBER(bool, builtinUniv());
+PSI_ENGINE_CORE_MEMBER(void, extractSolution(const kl0::QueryCode &,
+                                             RunResult &));
 
 } // namespace interp
 } // namespace psi

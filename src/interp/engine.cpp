@@ -1,6 +1,19 @@
+/**
+ * @file
+ * Engine-core control: load, the token-threaded main loop, calls,
+ * index resolution, clause trial, choice points, environments, cut
+ * and backtracking; plus the fidelity Engine's own entry points.
+ *
+ * Keep this unit to the hot control path: it instantiates the core
+ * for both policies, and GCC's per-unit inlining budget must still
+ * cover the fast policy's one-line accessors.  Host-side work (answer
+ * export) lives in builtins_term.cpp.
+ */
+
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
+#include "fast/fast_engine.hpp"
 #include "kl0/builtin_defs.hpp"
 #include "kl0/normalize.hpp"
 #include "kl0/reader.hpp"
@@ -9,10 +22,6 @@ namespace psi {
 namespace interp {
 
 namespace {
-
-constexpr auto kScr = micro::WfMode::Direct00_0F;
-constexpr auto kReg = micro::WfMode::Direct10_3F;
-constexpr auto kNoWf = micro::WfMode::None;
 
 // Decode/bookkeeping step counts of the firmware routines (the
 // register-level texture around the explicit memory accesses).  The
@@ -46,11 +55,7 @@ intWord(std::uint32_t v)
 
 } // namespace
 
-Engine::Engine(const CacheConfig &config, const FirmwareOptions &fw)
-    : _mem(config), _seq(_mem), _codegen(_mem, _syms), _fw(fw)
-{
-    _seq.setWriteStackEnabled(fw.writeStackCommand);
-}
+// ----- interp::Engine ------------------------------------------------
 
 void
 Engine::load(const kl0::Program &program)
@@ -74,65 +79,81 @@ Engine::consult(const std::string &text)
 }
 
 void
-Engine::resetMachine()
+Engine::load(const kl0::CompiledProgram &image,
+             const CacheConfig &cache)
 {
-    _mem.reset();
-    _seq.reset();
-    _syms = kl0::SymbolTable();
-    _codegen.restore(kl0::CodeGen::Snapshot{});
+    mem().reconfigure(cache);
+    load(image);
+}
+
+// ----- EngineCore: load and run --------------------------------------
+
+template <class A>
+void
+EngineCore<A>::clearMachine()
+{
+    _acct.reset();
     resetRun();
     _vecTop = kl0::kVectorBase;
     _maxOutputBytes = 1 << 20;
     _inProcessCall = false;
     _warnedUndefined.clear();
-    _procTops = {};
+    _arithOps.clear(); // functor indices are per symbol table
 }
 
+template <class A>
 void
-Engine::load(const kl0::CompiledProgram &image)
+EngineCore<A>::resetMachine()
 {
-    resetMachine();
+    clearMachine();
+    _syms = kl0::SymbolTable();
+    _codegen.restore(kl0::CodeGen::Snapshot{});
+}
+
+template <class A>
+void
+EngineCore<A>::load(const kl0::CompiledProgram &image)
+{
+    clearMachine();
     _syms = image.symbols();
     _codegen.restore(image.codegen());
+    // Query code compiled against this image must use the same
+    // compile options.
     _codegen.setOptions(image.options());
     // Replay in emission order so pages are touched (and physical
     // frames allocated) exactly as the original compile touched them.
     for (const PokeRecord &p : image.image())
-        _mem.poke(p.addr, p.word);
+        _acct.poke(p.addr, p.word);
 }
 
-void
-Engine::load(const kl0::CompiledProgram &image,
-             const CacheConfig &cache)
-{
-    _mem.reconfigure(cache);
-    load(image);
-}
-
+template <class A>
 RunResult
-Engine::solve(const std::string &query_text, const RunLimits &limits)
+EngineCore<A>::solve(const std::string &query_text,
+                     const RunLimits &limits)
 {
     return solve(kl0::parseTerm(query_text), limits);
 }
 
+template <class A>
 RunResult
-Engine::solve(const kl0::TermPtr &goal, const RunLimits &limits)
+EngineCore<A>::solve(const kl0::TermPtr &goal, const RunLimits &limits)
 {
-    kl0::QueryCode qc = _codegen.compileQuery(goal);
+    kl0::QueryCode qc = _acct.compileQuery(_codegen, goal);
     return run(qc, limits);
 }
 
+template <class A>
 void
-Engine::resetRun()
+EngineCore<A>::resetRun()
 {
-    _gt = _lt = _ct = _memTT = kStackBase;
+    _gt = _lt = _ct = kStackBase;
+    _acct.resetTrail(kStackBase);
     _b = kNoChoice;
     _hb = _hl = 0;
     _cp = 0;
     _act = Activation{};
     _act.globalBase = _gt;
     _curBuf = 0;
-    _trailBufCount = 0;
     _inferences = 0;
     _idxHits = 0;
     _idxFallbacks = 0;
@@ -141,14 +162,12 @@ Engine::resetRun()
     _failFlag = false;
 }
 
+template <class A>
 RunResult
-Engine::run(const kl0::QueryCode &qc, const RunLimits &limits)
+EngineCore<A>::run(const kl0::QueryCode &qc, const RunLimits &limits)
 {
     resetRun();
-    if (_resetStatsOnRun) {
-        _mem.resetStats();
-        _seq.resetStats();
-    }
+    _acct.beginRun();
     _maxOutputBytes = limits.maxOutputBytes;
 
     RunResult result;
@@ -156,129 +175,234 @@ Engine::run(const kl0::QueryCode &qc, const RunLimits &limits)
     if (!started)
         started = backtrack();
     if (started)
-        mainLoop(qc, result, limits);
+        loop<false>(qc, result, limits);
     result.stepLimitHit = result.status == RunStatus::StepLimit;
 
     result.inferences = _inferences;
-    result.steps = _seq.stats().totalSteps();
-    result.timeNs = _seq.timeNs();
+    result.steps = _acct.steps();
+    result.timeNs = _acct.timeNs();
     result.output = std::move(_out);
     _out.clear();
     return result;
 }
 
-void
-Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
-                 const RunLimits &limits)
+template <class A>
+bool
+EngineCore<A>::runNested(std::uint32_t functor_idx,
+                         std::uint64_t max_steps)
 {
-    const Deadline deadline(limits.deadlineNs);
-    std::uint32_t poll = 0;
-    for (;;) {
-        if (_seq.stats().totalSteps() > limits.maxSteps) {
-            result.status = RunStatus::StepLimit;
-            return;
-        }
-        // Wall-clock deadline, polled every 4096 dispatches so the
-        // clock read is amortized away.
-        if (deadline.armed() && (++poll & 0xfffu) == 0 &&
-            deadline.expired()) {
-            result.status = RunStatus::Timeout;
-            return;
-        }
-
-        if (_failFlag) {
-            _failFlag = false;
-            if (!backtrack())
-                return;
-            continue;
-        }
-
-        TaggedWord w = _seq.readMem(Module::Control,
-                                    LogicalAddr(Area::Heap, _cp),
-                                    BranchOp::T1CaseIrOpcode);
-        ++_cp;
-        _seq.texture(Module::Control, kFetchDecode);
-
-        switch (w.tag) {
-          case Tag::Call:
-          case Tag::CallLast: {
-            std::uint32_t goal_cp = _cp - 1;
-            std::uint32_t f = w.data;
-            loadArgs(_syms.functorArity(f), Module::Control);
-            if (!doCall(f, goal_cp, w.tag == Tag::CallLast))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallBuiltin: {
-            auto b = static_cast<kl0::Builtin>(w.data);
-            loadArgs(kl0::builtinArity(b), Module::GetArg);
-            if (!execBuiltin(b))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallIs: {
-            // Specialized entry: one dispatch step, none of the
-            // generic builtin staging texture.
-            loadArgs(2, Module::GetArg);
-            _seq.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
-                      kNoWf);
-            if (!execIs())
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallCmp: {
-            loadArgs(2, Module::GetArg);
-            _seq.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
-                      kNoWf);
-            if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CutOp:
-            doCut();
-            break;
-          case Tag::Proceed: {
-            // Return-from-clause decision step.
-            _seq.step(Module::Control, BranchOp::T1CondTrue, kScr,
-                      kScr);
-            if (_act.contEnv == kRootEnv) {
-                extractSolution(qc, result);
-                if (static_cast<int>(result.solutions.size()) >=
-                    limits.maxSolutions) {
-                    return;
-                }
-                _failFlag = true;
-                break;
-            }
-            // Determinate local-frame reclamation.
-            if (_act.frame.kind == FrameLoc::Kind::Stack &&
-                _act.frame.addr + _act.nlocals == _lt &&
-                _hl <= _act.frame.addr) {
-                _seq.step(Module::Control, BranchOp::T1CondFalse,
-                          kScr, kScr, kScr);
-                _lt = _act.frame.addr;
-            }
-            _seq.texture(Module::Control, kReturnDecode);
-            std::uint32_t rcp = _act.contCP;
-            restoreEnv(_act.contEnv);
-            _cp = rcp;
-            break;
-          }
-          default:
-            panic("bad instruction word tag '", tagName(w.tag),
-                  "' at heap:", _cp - 1);
-        }
-    }
+    bool ok = doCall(functor_idx, 0, true);
+    if (!ok)
+        ok = backtrack();
+    if (!ok)
+        return false;
+    RunLimits budget;
+    budget.maxSteps = max_steps;
+    RunResult unused;
+    return loop<true>(kl0::QueryCode{}, unused, budget);
 }
 
+template <class A>
+template <bool Nested>
+bool
+EngineCore<A>::loop(const kl0::QueryCode &qc, RunResult &result,
+                    const RunLimits &limits)
+{
+    const Deadline deadline(limits.deadlineNs);
+    const std::uint64_t start = Nested ? _acct.tick() : 0;
+    std::uint32_t poll = 0;
+    TaggedWord w;
+
+#if defined(__GNUC__) || defined(__clang__)
+    // Token-threaded dispatch: the instruction tag indexes a label
+    // table directly, one indirect jump per body instruction word.
+    // Indexed by Tag value; only the six instruction tokens are
+    // executable, everything else is a corrupt-image panic.
+    static const void *const kOp[static_cast<int>(Tag::NumTags)] = {
+        &&op_bad, // Undef
+        &&op_bad, // Ref
+        &&op_bad, // Atom
+        &&op_bad, // Int
+        &&op_bad, // Nil
+        &&op_bad, // List
+        &&op_bad, // Struct
+        &&op_bad, // Functor
+        &&op_bad, // Vector
+        &&op_bad, // SkelVar
+        &&op_bad, // ClauseHeader
+        &&op_bad, // ClauseRef
+        &&op_bad, // EndClauses
+        &&op_bad, // HConst
+        &&op_bad, // HInt
+        &&op_bad, // HNil
+        &&op_bad, // HVarF
+        &&op_bad, // HVarS
+        &&op_bad, // HList
+        &&op_bad, // HStruct
+        &&op_bad, // HGroundList
+        &&op_bad, // HGroundStruct
+        &&op_bad, // HVoid
+        &&op_call,    // Call
+        &&op_call,    // CallLast
+        &&op_builtin, // CallBuiltin
+        &&op_bad, // PackedArgs
+        &&op_bad, // AConst
+        &&op_bad, // AInt
+        &&op_bad, // ANil
+        &&op_bad, // AVar
+        &&op_bad, // AVoid
+        &&op_bad, // AList
+        &&op_bad, // AStruct
+        &&op_bad, // AGroundList
+        &&op_bad, // AGroundStruct
+        &&op_bad, // AExpr
+        &&op_cut,     // CutOp
+        &&op_proceed, // Proceed
+        &&op_bad, // IndexRef
+        &&op_bad, // IndexRoot
+        &&op_bad, // IndexHash
+        &&op_is,  // CallIs
+        &&op_cmp, // CallCmp
+    };
+#define PSI_DISPATCH() goto *kOp[static_cast<int>(w.tag)]
+#else
+#define PSI_DISPATCH()                                                \
+    switch (w.tag) {                                                  \
+      case Tag::Call:                                                 \
+      case Tag::CallLast:                                             \
+        goto op_call;                                                 \
+      case Tag::CallBuiltin:                                          \
+        goto op_builtin;                                              \
+      case Tag::CallIs:                                               \
+        goto op_is;                                                   \
+      case Tag::CallCmp:                                              \
+        goto op_cmp;                                                  \
+      case Tag::CutOp:                                                \
+        goto op_cut;                                                  \
+      case Tag::Proceed:                                              \
+        goto op_proceed;                                              \
+      default:                                                        \
+        goto op_bad;                                                  \
+    }
+#endif
+
+next:
+    if (_acct.tick() - start > limits.maxSteps) {
+        if (Nested)
+            warn("process_call: step budget exhausted");
+        else
+            result.status = RunStatus::StepLimit;
+        return false;
+    }
+    // Wall-clock deadline, polled every 4096 dispatches so the clock
+    // read is amortized away.
+    if (deadline.armed() && (++poll & 0xfffu) == 0 &&
+        deadline.expired()) {
+        result.status = RunStatus::Timeout;
+        return false;
+    }
+
+    if (_failFlag) {
+        _failFlag = false;
+        if (!backtrack())
+            return false;
+        goto next;
+    }
+
+    w = _acct.readMem(Module::Control, LogicalAddr(Area::Heap, _cp),
+                      BranchOp::T1CaseIrOpcode);
+    ++_cp;
+    _acct.texture(Module::Control, kFetchDecode);
+    PSI_DISPATCH();
+
+op_call: {
+    std::uint32_t goal_cp = _cp - 1;
+    std::uint32_t f = w.data;
+    loadArgs(_syms.functorArity(f), Module::Control);
+    if (!doCall(f, goal_cp, w.tag == Tag::CallLast))
+        _failFlag = true;
+    goto next;
+}
+
+op_builtin: {
+    auto b = static_cast<kl0::Builtin>(w.data);
+    loadArgs(kl0::builtinArity(b), Module::GetArg);
+    if (!execBuiltin(b))
+        _failFlag = true;
+    goto next;
+}
+
+op_is:
+    // Specialized entry: one dispatch step, none of the generic
+    // builtin staging texture (process_call's loop skips the step).
+    loadArgs(2, Module::GetArg);
+    if (!Nested)
+        _acct.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf, kNoWf);
+    if (!execIs())
+        _failFlag = true;
+    goto next;
+
+op_cmp:
+    loadArgs(2, Module::GetArg);
+    if (!Nested)
+        _acct.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf, kNoWf);
+    if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
+        _failFlag = true;
+    goto next;
+
+op_cut:
+    doCut();
+    goto next;
+
+op_proceed: {
+    // Return-from-clause decision step.
+    _acct.step(Module::Control, BranchOp::T1CondTrue, kScr, kScr);
+    if (_act.contEnv == kRootEnv) {
+        if (Nested)
+            return true; // first solution: the process yields
+        extractSolution(qc, result);
+        if (static_cast<int>(result.solutions.size()) >=
+            limits.maxSolutions) {
+            return false;
+        }
+        _failFlag = true;
+        goto next;
+    }
+    // Determinate local-frame reclamation.
+    if (_act.frame.kind == FrameLoc::Kind::Stack &&
+        _act.frame.addr + _act.nlocals == _lt &&
+        _hl <= _act.frame.addr) {
+        if (!Nested)
+            _acct.step(Module::Control, BranchOp::T1CondFalse, kScr,
+                       kScr, kScr);
+        _lt = _act.frame.addr;
+    }
+    if (!Nested)
+        _acct.texture(Module::Control, kReturnDecode);
+    std::uint32_t rcp = _act.contCP;
+    restoreEnv(_act.contEnv);
+    _cp = rcp;
+    goto next;
+}
+
+op_bad:
+    panic("bad instruction word tag '", tagName(w.tag),
+          "' at heap:", _cp - 1);
+
+#undef PSI_DISPATCH
+}
+
+// ----- EngineCore: arguments -----------------------------------------
+
+template <class A>
 void
-Engine::loadArgs(std::uint32_t arity, Module m)
+EngineCore<A>::loadArgs(std::uint32_t arity, Module m)
 {
     if (arity == 0)
         return;
 
-    TaggedWord w = _seq.readMem(m, LogicalAddr(Area::Heap, _cp),
-                                BranchOp::T1CaseTag);
+    TaggedWord w = _acct.readMem(m, LogicalAddr(Area::Heap, _cp),
+                                 BranchOp::T1CaseTag);
     if (w.tag == Tag::PackedArgs) {
         ++_cp;
         for (std::uint32_t i = 0; i < arity; ++i) {
@@ -286,8 +410,8 @@ Engine::loadArgs(std::uint32_t arity, Module m)
             std::uint32_t type = op >> 5;
             std::uint32_t idx = op & 0x1f;
             // Packed-operand dispatch (the `case (irn)` branch).
-            _seq.step(m, BranchOp::T1CaseIrn, kScr, kNoWf, kReg);
-            _seq.texture(m, kArgDecode - 1);
+            _acct.step(m, BranchOp::T1CaseIrn, kScr, kNoWf, kReg);
+            _acct.texture(m, kArgDecode - 1);
             TaggedWord a;
             switch (type) {
               case kl0::kPackLocalVar:
@@ -307,17 +431,16 @@ Engine::loadArgs(std::uint32_t arity, Module m)
               default:
                 panic("bad packed operand type ", type);
             }
-            _seq.wf().write(micro::kWfArgBase + i, a);
+            _acct.setArg(i, a);
         }
         return;
     }
 
     for (std::uint32_t i = 0; i < arity; ++i) {
-        TaggedWord d = _seq.readMem(m, LogicalAddr(Area::Heap, _cp),
-                                    BranchOp::T1CaseTag, kNoWf,
-                                    kReg);
+        TaggedWord d = _acct.readMem(m, LogicalAddr(Area::Heap, _cp),
+                                     BranchOp::T1CaseTag, kNoWf, kReg);
         ++_cp;
-        _seq.texture(m, kArgDecode);
+        _acct.texture(m, kArgDecode);
         TaggedWord a;
         switch (d.tag) {
           case Tag::AConst:
@@ -352,78 +475,18 @@ Engine::loadArgs(std::uint32_t arity, Module m)
           default:
             panic("bad argument descriptor '", tagName(d.tag), "'");
         }
-        _seq.wf().write(micro::kWfArgBase + i, a);
+        _acct.setArg(i, a);
     }
 }
 
+template <class A>
 TaggedWord
-Engine::readA(std::uint32_t i, Module m)
+EngineCore<A>::fetchVarArg(const VarSlot &vs, Module m)
 {
-    _seq.step(m, BranchOp::T1Nop, kReg, kNoWf, kNoWf);
-    return _seq.wf().read(micro::kWfArgBase + i);
-}
-
-void
-Engine::writeA(std::uint32_t i, const TaggedWord &w, Module m)
-{
-    _seq.step(m, BranchOp::T1Nop, kNoWf, kNoWf, kReg);
-    _seq.wf().write(micro::kWfArgBase + i, w);
-}
-
-TaggedWord
-Engine::readLocal(std::uint32_t slot, Module m)
-{
-    switch (_act.frame.kind) {
-      case FrameLoc::Kind::Buf0:
-      case FrameLoc::Kind::Buf1: {
-        std::uint16_t base = _act.frame.kind == FrameLoc::Kind::Buf0
-                                 ? micro::kWfFrameBuf0
-                                 : micro::kWfFrameBuf1;
-        // Base-relative access through PDR/CDR.
-        _seq.step(m, BranchOp::T1Nop, micro::WfMode::BaseRelPdrCdr,
-                  kNoWf, kReg);
-        return _seq.wf().read(base + slot);
-      }
-      case FrameLoc::Kind::Stack:
-        return _seq.readMem(
-            m, LogicalAddr(Area::Local, _act.frame.addr + slot),
-            BranchOp::T1Nop, kScr, kReg);
-      default:
-        panic("local access with no frame");
-    }
-}
-
-void
-Engine::writeLocal(std::uint32_t slot, const TaggedWord &w, Module m)
-{
-    switch (_act.frame.kind) {
-      case FrameLoc::Kind::Buf0:
-      case FrameLoc::Kind::Buf1: {
-        std::uint16_t base = _act.frame.kind == FrameLoc::Kind::Buf0
-                                 ? micro::kWfFrameBuf0
-                                 : micro::kWfFrameBuf1;
-        _seq.step(m, BranchOp::T1Nop, kReg, kNoWf,
-                  micro::WfMode::BaseRelPdrCdr);
-        _seq.wf().write(base + slot, w);
-        return;
-      }
-      case FrameLoc::Kind::Stack:
-        _seq.writeMem(m,
-                      LogicalAddr(Area::Local, _act.frame.addr + slot),
-                      w, BranchOp::T1Nop, kReg);
-        return;
-      default:
-        panic("local write with no frame");
-    }
-}
-
-TaggedWord
-Engine::fetchVarArg(const VarSlot &vs, Module m)
-{
-    _seq.texture(m, kVarFetchDecode);
+    _acct.texture(m, kVarFetchDecode);
     if (vs.global) {
         // A reference to the global cell is formed in one step.
-        _seq.step(m, BranchOp::T1Nop, kScr, kNoWf, kReg);
+        _acct.step(m, BranchOp::T1Nop, kScr, kNoWf, kReg);
         return {Tag::Ref,
                 LogicalAddr(Area::Global,
                             _act.globalBase + vs.index).pack()};
@@ -449,26 +512,20 @@ Engine::fetchVarArg(const VarSlot &vs, Module m)
     return v;
 }
 
-TaggedWord
-Engine::newGlobalCell(Module m)
-{
-    LogicalAddr cell(Area::Global, _gt);
-    _seq.pushMem(m, cell, unboundAt(cell), BranchOp::T2Nop);
-    ++_gt;
-    return {Tag::Ref, cell.pack()};
-}
+// ----- EngineCore: calls and clause trial ----------------------------
 
+template <class A>
 bool
-Engine::doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
-               bool last_call)
+EngineCore<A>::doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
+                      bool last_call)
 {
     ++_inferences;
 
     // Call entry: save the goal context, set up the predicate
     // descriptor fetch.
-    _seq.step(Module::Control, BranchOp::T1Gosub, kScr, kScr, kScr);
-    _seq.texture(Module::Control, kCallDecode);
-    TaggedWord dir = _seq.readMem(
+    _acct.step(Module::Control, BranchOp::T1Gosub, kScr, kScr, kScr);
+    _acct.texture(Module::Control, kCallDecode);
+    TaggedWord dir = _acct.readMem(
         Module::Control,
         LogicalAddr(Area::Heap, kl0::kDirBase + functor_idx),
         BranchOp::T1CondFalse, kScr);
@@ -491,11 +548,11 @@ Engine::doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
     if (last_call) {
         // Tail-recursion optimization: the callee inherits this
         // activation's continuation; no environment is pushed.
-        _seq.step(Module::Control, BranchOp::T1CondTrue, kScr, kScr);
+        _acct.step(Module::Control, BranchOp::T1CondTrue, kScr, kScr);
         cont_cp = _act.contCP;
         cont_env = _act.contEnv;
     } else {
-        _seq.step(Module::Control, BranchOp::T1CondFalse, kScr, kScr);
+        _acct.step(Module::Control, BranchOp::T1CondFalse, kScr, kScr);
         if (_act.frame.inBuffer())
             flushFrame();
         // The current control information is saved to the control
@@ -510,16 +567,16 @@ Engine::doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
                       cont_env, _b);
 }
 
+template <class A>
 std::uint32_t
-Engine::resolveIndex(std::uint32_t root)
+EngineCore<A>::resolveIndex(std::uint32_t root)
 {
     // Dereference A1 and switch on its tag (an index exists only for
     // predicates of arity > 0, so A1 is always loaded here).
-    Deref d = deref(_seq.wf().read(micro::kWfArgBase),
-                    Module::Control);
+    Deref d = deref(_acct.arg(0), Module::Control);
     TaggedWord a1 =
         d.unbound ? TaggedWord{Tag::Ref, d.cell.pack()} : d.word;
-    _seq.step(Module::Control, BranchOp::T1CaseTag, kScr, kScr);
+    _acct.step(Module::Control, BranchOp::T1CaseTag, kScr, kScr);
 
     std::uint32_t slot;
     std::uint32_t key = 0;
@@ -543,9 +600,9 @@ Engine::resolveIndex(std::uint32_t root)
         break;
       case Tag::Struct:
         slot = kl0::kIdxSlotStruct;
-        key = _seq.readMem(Module::Control,
-                           LogicalAddr::unpack(a1.data),
-                           BranchOp::T1Nop, kScr)
+        key = _acct.readMem(Module::Control,
+                            LogicalAddr::unpack(a1.data),
+                            BranchOp::T1Nop, kScr)
                   .data;
         key_tag = Tag::Functor;
         break;
@@ -553,41 +610,41 @@ Engine::resolveIndex(std::uint32_t root)
         // Unbound - or a tag the index does not cover (vectors):
         // walk the full linear chain.
         ++_idxFallbacks;
-        return _seq.readMem(Module::Control,
-                            LogicalAddr(Area::Heap, root),
-                            BranchOp::T1Goto, kScr)
+        return _acct.readMem(Module::Control,
+                             LogicalAddr(Area::Heap, root),
+                             BranchOp::T1Goto, kScr)
             .data;
     }
     ++_idxHits;
 
-    TaggedWord w = _seq.readMem(Module::Control,
-                                LogicalAddr(Area::Heap, root + slot),
-                                BranchOp::T1CaseTag, kScr);
+    TaggedWord w = _acct.readMem(Module::Control,
+                                 LogicalAddr(Area::Heap, root + slot),
+                                 BranchOp::T1CaseTag, kScr);
     if (w.tag == Tag::ClauseRef)
         return w.data;
     PSI_ASSERT(w.tag == Tag::IndexHash, "bad index slot word");
 
     std::uint32_t block = w.data;
     std::uint32_t nslots =
-        _seq.readMem(Module::Control, LogicalAddr(Area::Heap, block),
-                     BranchOp::T1Nop, kScr)
+        _acct.readMem(Module::Control, LogicalAddr(Area::Heap, block),
+                      BranchOp::T1Nop, kScr)
             .data;
     std::uint32_t h = kl0::indexKeyHash(key) & (nslots - 1);
     for (;;) {
-        TaggedWord kw = _seq.readMem(
+        TaggedWord kw = _acct.readMem(
             Module::Control,
             LogicalAddr(Area::Heap, block + 2 + 2 * h),
             BranchOp::T1CaseTag, kScr);
         if (kw.tag == Tag::Undef) {
             // No clause mentions this key: only the variable-headed
             // clauses can match.
-            return _seq.readMem(Module::Control,
-                                LogicalAddr(Area::Heap, block + 1),
-                                BranchOp::T1Goto, kScr)
+            return _acct.readMem(Module::Control,
+                                 LogicalAddr(Area::Heap, block + 1),
+                                 BranchOp::T1Goto, kScr)
                 .data;
         }
         if (kw.tag == key_tag && kw.data == key) {
-            return _seq.readMem(
+            return _acct.readMem(
                        Module::Control,
                        LogicalAddr(Area::Heap, block + 3 + 2 * h),
                        BranchOp::T1Goto, kScr)
@@ -598,16 +655,17 @@ Engine::resolveIndex(std::uint32_t root)
     }
 }
 
+template <class A>
 bool
-Engine::firstArgMayMatch(std::uint32_t clause_addr,
-                         const TaggedWord &a1)
+EngineCore<A>::firstArgMayMatch(std::uint32_t clause_addr,
+                                const TaggedWord &a1)
 {
     // One probe of the first head descriptor plus a tag comparison -
     // the dispatch the PSI-II instruction-code redesign aims at.
-    TaggedWord desc = _seq.readMem(
+    TaggedWord desc = _acct.readMem(
         Module::Control, LogicalAddr(Area::Heap, clause_addr + 1),
         BranchOp::T1CaseTag);
-    _seq.step(Module::Control, BranchOp::T1TagCmp, kScr, kScr);
+    _acct.step(Module::Control, BranchOp::T1TagCmp, kScr, kScr);
     if (a1.tag == Tag::Ref)
         return true;
     switch (desc.tag) {
@@ -628,16 +686,18 @@ Engine::firstArgMayMatch(std::uint32_t clause_addr,
     }
 }
 
+template <class A>
 bool
-Engine::tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
-                   std::uint32_t arity, std::uint32_t cont_cp,
-                   std::uint32_t cont_env, std::uint32_t cut_b)
+EngineCore<A>::tryClauses(std::uint32_t table_addr,
+                          std::uint32_t goal_cp, std::uint32_t arity,
+                          std::uint32_t cont_cp, std::uint32_t cont_env,
+                          std::uint32_t cut_b)
 {
-    // Dereference the first argument once when indexing is enabled.
+    const bool probe = _acct.fw().firstArgIndexing && arity > 0;
+    // Dereference the first argument once when probing is enabled.
     TaggedWord a1{};
-    if (_fw.firstArgIndexing && arity > 0) {
-        Deref d = deref(_seq.wf().read(micro::kWfArgBase),
-                        Module::Control);
+    if (probe) {
+        Deref d = deref(_acct.arg(0), Module::Control);
         a1 = d.unbound ? TaggedWord{Tag::Ref, d.cell.pack()} : d.word;
     }
     // Caller context captured for the choice point (deep retries
@@ -652,26 +712,25 @@ Engine::tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
     std::uint32_t old_hb = _hb;
     std::uint32_t old_hl = _hl;
     std::uint32_t trial_gt = _gt;
-    std::uint64_t trial_tt = trailTop();
-    _seq.step(Module::Control, BranchOp::T1Nop, kScr, kScr, kScr);
+    std::uint64_t trial_tt = _acct.trailTop();
+    _acct.step(Module::Control, BranchOp::T1Nop, kScr, kScr, kScr);
 
     std::uint32_t pos = table_addr;
-    TaggedWord cur = _seq.readMem(Module::Control,
-                                  LogicalAddr(Area::Heap, pos),
-                                  BranchOp::T1CondTrue, kScr);
+    TaggedWord cur = _acct.readMem(Module::Control,
+                                   LogicalAddr(Area::Heap, pos),
+                                   BranchOp::T1CondTrue, kScr);
     if (cur.tag != Tag::ClauseRef)
         return false;
 
     for (;;) {
         ++_clauseTries;
-        TaggedWord next = _seq.readMem(Module::Control,
-                                       LogicalAddr(Area::Heap, pos + 1),
-                                       BranchOp::T1CondTrue, kScr);
-        _seq.texture(Module::Control, kTrialDecode);
+        TaggedWord next = _acct.readMem(
+            Module::Control, LogicalAddr(Area::Heap, pos + 1),
+            BranchOp::T1CondTrue, kScr);
+        _acct.texture(Module::Control, kTrialDecode);
         bool has_next = next.tag == Tag::ClauseRef;
 
-        if (_fw.firstArgIndexing && arity > 0 &&
-            !firstArgMayMatch(cur.data, a1)) {
+        if (probe && !firstArgMayMatch(cur.data, a1)) {
             if (!has_next) {
                 _hb = old_hb;
                 _hl = old_hl;
@@ -690,33 +749,17 @@ Engine::tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
         if (enterClause(cur.data, cont_cp, cont_env, cut_b)) {
             if (has_next) {
                 // Commit with alternatives: only now does control
-                // information go to the control stack.
-                std::uint32_t cfe;
-                if (caller_frame.inBuffer()) {
-                    // Lazy flush: a deep retry must be able to
-                    // re-read the caller's locals from memory.
-                    std::uint16_t base =
-                        caller_frame.kind == FrameLoc::Kind::Buf0
-                            ? micro::kWfFrameBuf0
-                            : micro::kWfFrameBuf1;
-                    std::uint32_t addr = _lt;
-                    _seq.step(Module::Control, BranchOp::T1LoadJr,
-                              kScr, kNoWf, kNoWf);
-                    for (std::uint32_t i = 0; i < caller_nlocals;
-                         ++i) {
-                        _seq.pushMem(Module::Control,
-                                     LogicalAddr(Area::Local, _lt + i),
-                                     _seq.wf().read(base + i),
-                                     BranchOp::T3Nop,
-                                     micro::WfMode::IndWfar1);
-                    }
-                    _lt += caller_nlocals;
-                    cfe = FrameLoc{FrameLoc::Kind::Stack,
-                                   addr}.encode();
-                } else {
-                    cfe = caller_frame.encode();
-                }
-                trailFlush();
+                // information go to the control stack.  A caller
+                // frame still in a buffer is flushed lazily: a deep
+                // retry must be able to re-read its locals.
+                std::uint32_t cfe =
+                    caller_frame.inBuffer()
+                        ? FrameLoc{FrameLoc::Kind::Stack,
+                                   spillBuffer(bufIndex(caller_frame),
+                                               caller_nlocals)}
+                              .encode()
+                        : caller_frame.encode();
+                _acct.trailFlush();
                 pushChoicePoint(goal_cp, cont_cp, cont_env, cfe,
                                 caller_gb, trial_gt, _lt,
                                 static_cast<std::uint32_t>(trial_tt),
@@ -731,9 +774,9 @@ Engine::tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
         }
 
         // Shallow retry from the work-file snapshot.
-        _seq.step(Module::Control, BranchOp::T1CondFalse, kScr, kNoWf,
-                  kScr);
-        unwindTrail(trial_tt);
+        _acct.step(Module::Control, BranchOp::T1CondFalse, kScr, kNoWf,
+                   kScr);
+        _acct.unwindTrail(trial_tt);
         _gt = trial_gt;
         // Reclaim any local frame the failed candidate allocated
         // (no-op with frame buffers: _hl is the trial-start local
@@ -749,29 +792,36 @@ Engine::tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
     }
 }
 
-void
-Engine::flushFrame()
+template <class A>
+std::uint32_t
+EngineCore<A>::spillBuffer(int buf, std::uint32_t n)
 {
-    PSI_ASSERT(_act.frame.inBuffer(), "flush of a non-buffer frame");
-    std::uint16_t base = _act.frame.kind == FrameLoc::Kind::Buf0
-                             ? micro::kWfFrameBuf0
-                             : micro::kWfFrameBuf1;
     std::uint32_t addr = _lt;
     // WFAR1 := buffer base (address-register setup step).
-    _seq.step(Module::Control, BranchOp::T1LoadJr, kScr, kNoWf, kNoWf);
-    for (std::uint32_t i = 0; i < _act.nlocals; ++i) {
-        _seq.pushMem(Module::Control, LogicalAddr(Area::Local, _lt + i),
-                     _seq.wf().read(base + i), BranchOp::T3Nop,
-                     micro::WfMode::IndWfar1);
+    _acct.step(Module::Control, BranchOp::T1LoadJr, kScr, kNoWf, kNoWf);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        _acct.pushMem(Module::Control, LogicalAddr(Area::Local, _lt + i),
+                      _acct.frame(buf, i), BranchOp::T3Nop,
+                      WfMode::IndWfar1);
     }
-    _lt += _act.nlocals;
-    _act.frame = FrameLoc{FrameLoc::Kind::Stack, addr};
+    _lt += n;
+    return addr;
 }
 
+template <class A>
 void
-Engine::pushEnvFrame()
+EngineCore<A>::flushFrame()
 {
-    _seq.texture(Module::Control, kFramePush);
+    PSI_ASSERT(_act.frame.inBuffer(), "flush of a non-buffer frame");
+    _act.frame = FrameLoc{FrameLoc::Kind::Stack,
+                          spillBuffer(bufIndex(_act.frame), _act.nlocals)};
+}
+
+template <class A>
+void
+EngineCore<A>::pushEnvFrame()
+{
+    _acct.texture(Module::Control, kFramePush);
     std::uint32_t env = _ct;
     const std::uint32_t words[kFrameWords] = {
         _act.contCP,
@@ -784,26 +834,27 @@ Engine::pushEnvFrame()
         0, 0, 0,
     };
     for (std::uint32_t i = 0; i < kFrameWords; ++i) {
-        _seq.pushMem(Module::Control,
-                     LogicalAddr(Area::Control, _ct + i),
-                     intWord(words[i]), BranchOp::T3Nop, kReg);
+        _acct.pushMem(Module::Control,
+                      LogicalAddr(Area::Control, _ct + i),
+                      intWord(words[i]), BranchOp::T3Nop, kReg);
     }
     _ct += kFrameWords;
     _act.selfEnv = env;
 }
 
+template <class A>
 void
-Engine::restoreEnv(std::uint32_t env_addr)
+EngineCore<A>::restoreEnv(std::uint32_t env_addr)
 {
     PSI_ASSERT(env_addr != kRootEnv && env_addr != 0,
                "bad environment address");
-    _seq.texture(Module::Control, kEnvRestore);
+    _acct.texture(Module::Control, kEnvRestore);
     std::uint32_t w[7];
     for (int i = 0; i < 7; ++i) {
-        w[i] = _seq.readMem(Module::Control,
-                            LogicalAddr(Area::Control, env_addr + i),
-                            i == 0 ? BranchOp::T2Goto : BranchOp::T2Nop,
-                            kNoWf, kScr)
+        w[i] = _acct.readMem(Module::Control,
+                             LogicalAddr(Area::Control, env_addr + i),
+                             i == 0 ? BranchOp::T2Goto : BranchOp::T2Nop,
+                             kNoWf, kScr)
                    .data;
     }
     _act.contCP = w[kEnvContCP];
@@ -824,16 +875,20 @@ Engine::restoreEnv(std::uint32_t env_addr)
     }
 }
 
+template <class A>
 void
-Engine::pushChoicePoint(std::uint32_t goal_cp, std::uint32_t cont_cp,
-                        std::uint32_t cont_env,
-                        std::uint32_t caller_frame_enc,
-                        std::uint32_t caller_global_base,
-                        std::uint32_t saved_gt, std::uint32_t saved_lt,
-                        std::uint32_t saved_tt, std::uint32_t saved_b,
-                        std::uint32_t next_clause_addr)
+EngineCore<A>::pushChoicePoint(std::uint32_t goal_cp,
+                               std::uint32_t cont_cp,
+                               std::uint32_t cont_env,
+                               std::uint32_t caller_frame_enc,
+                               std::uint32_t caller_global_base,
+                               std::uint32_t saved_gt,
+                               std::uint32_t saved_lt,
+                               std::uint32_t saved_tt,
+                               std::uint32_t saved_b,
+                               std::uint32_t next_clause_addr)
 {
-    _seq.texture(Module::Control, kFramePush);
+    _acct.texture(Module::Control, kFramePush);
     std::uint32_t cp_addr = _ct;
     const std::uint32_t words[kFrameWords] = {
         goal_cp,
@@ -848,24 +903,25 @@ Engine::pushChoicePoint(std::uint32_t goal_cp, std::uint32_t cont_cp,
         next_clause_addr,
     };
     for (std::uint32_t i = 0; i < kFrameWords; ++i) {
-        _seq.pushMem(Module::Control,
-                     LogicalAddr(Area::Control, _ct + i),
-                     intWord(words[i]), BranchOp::T3Nop, kReg);
+        _acct.pushMem(Module::Control,
+                      LogicalAddr(Area::Control, _ct + i),
+                      intWord(words[i]), BranchOp::T3Nop, kReg);
     }
     _ct += kFrameWords;
     _b = cp_addr;
 }
 
+template <class A>
 bool
-Engine::enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
-                    std::uint32_t cont_env, std::uint32_t cut_b)
+EngineCore<A>::enterClause(std::uint32_t clause_addr,
+                           std::uint32_t cont_cp, std::uint32_t cont_env,
+                           std::uint32_t cut_b)
 {
-    TaggedWord hdr = _seq.readMem(Module::Control,
-                                  LogicalAddr(Area::Heap, clause_addr),
-                                  BranchOp::T1CaseTag, kNoWf,
-                                  kScr);
+    TaggedWord hdr = _acct.readMem(Module::Control,
+                                   LogicalAddr(Area::Heap, clause_addr),
+                                   BranchOp::T1CaseTag, kNoWf, kScr);
     PSI_ASSERT(hdr.tag == Tag::ClauseHeader, "bad clause address");
-    _seq.texture(Module::Control, kEnterDecode);
+    _acct.texture(Module::Control, kEnterDecode);
     std::uint32_t arity = hdr.data & 0xff;
     std::uint32_t nlocals = (hdr.data >> 8) & 0xff;
     std::uint32_t nglobals = (hdr.data >> 16) & 0xff;
@@ -873,23 +929,21 @@ Engine::enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
     std::uint32_t global_base = _gt;
     for (std::uint32_t g = 0; g < nglobals; ++g) {
         LogicalAddr cell(Area::Global, _gt + g);
-        _seq.pushMem(Module::Control, cell, unboundAt(cell),
-                     BranchOp::T2Nop);
+        _acct.pushMem(Module::Control, cell, unboundAt(cell),
+                      BranchOp::T2Nop);
     }
     _gt += nglobals;
 
     FrameLoc frame;
-    if (nlocals > 0 && _fw.frameBuffers) {
+    if (nlocals > 0 && _acct.fw().frameBuffers) {
         int nb = 1 - _curBuf;
         frame.kind = nb == 0 ? FrameLoc::Kind::Buf0
                              : FrameLoc::Kind::Buf1;
-        std::uint16_t base = nb == 0 ? micro::kWfFrameBuf0
-                                     : micro::kWfFrameBuf1;
         // Initialize the frame through WFAR1 auto-increment.
         for (std::uint32_t i = 0; i < nlocals; ++i) {
-            _seq.step(Module::Control, BranchOp::T3Nop, kNoWf, kNoWf,
-                      micro::WfMode::IndWfar1);
-            _seq.wf().write(base + i, TaggedWord{});
+            _acct.step(Module::Control, BranchOp::T3Nop, kNoWf, kNoWf,
+                       WfMode::IndWfar1);
+            _acct.setFrame(nb, i, TaggedWord{});
         }
         _curBuf = nb;
     } else if (nlocals > 0) {
@@ -898,9 +952,9 @@ Engine::enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
         frame.kind = FrameLoc::Kind::Stack;
         frame.addr = _lt;
         for (std::uint32_t i = 0; i < nlocals; ++i) {
-            _seq.pushMem(Module::Control,
-                         LogicalAddr(Area::Local, _lt + i),
-                         TaggedWord{}, BranchOp::T3Nop);
+            _acct.pushMem(Module::Control,
+                          LogicalAddr(Area::Local, _lt + i),
+                          TaggedWord{}, BranchOp::T3Nop);
         }
         _lt += nlocals;
     }
@@ -916,22 +970,22 @@ Engine::enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
 
     std::uint32_t dp = clause_addr + 1;
     for (std::uint32_t i = 0; i < arity; ++i) {
-        TaggedWord desc = _seq.readMem(Module::Unify,
-                                       LogicalAddr(Area::Heap, dp + i),
-                                       BranchOp::T1CaseTag, kNoWf,
-                                       kScr);
-        TaggedWord arg = _seq.wf().read(micro::kWfArgBase + i);
-        if (!unifyHead(desc, arg))
+        TaggedWord desc = _acct.readMem(Module::Unify,
+                                        LogicalAddr(Area::Heap, dp + i),
+                                        BranchOp::T1CaseTag, kNoWf,
+                                        kScr);
+        if (!unifyHead(desc, _acct.arg(i)))
             return false;
     }
     // Activation setup completes only after the head has matched.
-    _seq.texture(Module::Control, 5);
+    _acct.texture(Module::Control, 5);
     _cp = dp + arity;
     return true;
 }
 
+template <class A>
 bool
-Engine::backtrack()
+EngineCore<A>::backtrack()
 {
     for (;;) {
         if (_b == kNoChoice)
@@ -939,18 +993,18 @@ Engine::backtrack()
 
         // Deep backtracking: restore the machine from the newest
         // choice-point frame.
-        _seq.step(Module::Control, BranchOp::T2Goto, kScr, kNoWf,
-                  kScr);
-        _seq.texture(Module::Control, kBacktrackDecode);
+        _acct.step(Module::Control, BranchOp::T2Goto, kScr, kNoWf,
+                   kScr);
+        _acct.texture(Module::Control, kBacktrackDecode);
         std::uint32_t w[kFrameWords];
         for (std::uint32_t i = 0; i < kFrameWords; ++i) {
-            w[i] = _seq.readMem(Module::Control,
-                                LogicalAddr(Area::Control, _b + i),
-                                BranchOp::T2Nop, kNoWf, kScr)
+            w[i] = _acct.readMem(Module::Control,
+                                 LogicalAddr(Area::Control, _b + i),
+                                 BranchOp::T2Nop, kNoWf, kScr)
                        .data;
         }
 
-        unwindTrail(w[kCpSavedTT]);
+        _acct.unwindTrail(w[kCpSavedTT]);
         _gt = w[kCpSavedGT];
         _lt = w[kCpSavedLT];
         // The frame is consumed: remaining candidates run a fresh
@@ -968,7 +1022,7 @@ Engine::backtrack()
         std::uint32_t goal_cp = w[kCpGoalCP];
         std::uint32_t arity = 0;
         if (goal_cp != 0) {
-            TaggedWord call = _seq.readMem(
+            TaggedWord call = _acct.readMem(
                 Module::Control, LogicalAddr(Area::Heap, goal_cp),
                 BranchOp::T1CaseIrOpcode, kNoWf, kScr);
             PSI_ASSERT(call.tag == Tag::Call ||
@@ -988,129 +1042,45 @@ Engine::backtrack()
     }
 }
 
+template <class A>
 void
-Engine::reloadTrailBounds(Module m)
+EngineCore<A>::reloadTrailBounds(Module m)
 {
     if (_b == kNoChoice) {
         _hb = 0;
         _hl = 0;
         return;
     }
-    _hb = _seq.readMem(m, LogicalAddr(Area::Control, _b + kCpSavedGT),
-                       BranchOp::T2Nop, kNoWf, kScr)
+    _hb = _acct.readMem(m, LogicalAddr(Area::Control, _b + kCpSavedGT),
+                        BranchOp::T2Nop, kNoWf, kScr)
               .data;
-    _hl = _seq.readMem(m, LogicalAddr(Area::Control, _b + kCpSavedLT),
-                       BranchOp::T2Nop, kNoWf, kScr)
+    _hl = _acct.readMem(m, LogicalAddr(Area::Control, _b + kCpSavedLT),
+                        BranchOp::T2Nop, kNoWf, kScr)
               .data;
 }
 
+template <class A>
 void
-Engine::doCut()
+EngineCore<A>::doCut()
 {
-    _seq.step(Module::Cut, BranchOp::T1CondTrue, kScr, kScr);
-    _seq.texture(Module::Cut, kCutWork);
+    _acct.step(Module::Cut, BranchOp::T1CondTrue, kScr, kScr);
+    _acct.texture(Module::Cut, kCutWork);
     if (_b != _act.cutB) {
         _b = _act.cutB;
-        _seq.step(Module::Cut, BranchOp::T1CondFalse, kScr, kNoWf,
-                  kScr);
+        _acct.step(Module::Cut, BranchOp::T1CondFalse, kScr, kNoWf,
+                   kScr);
         reloadTrailBounds(Module::Cut);
     }
 }
 
-void
-Engine::extractSolution(const kl0::QueryCode &qc, RunResult &result)
-{
-    Solution sol;
-    for (const auto &kv : qc.vars) {
-        const kl0::SlotRef &sr = kv.second;
-        TaggedWord w;
-        if (sr.global) {
-            w = _mem.peek(LogicalAddr(Area::Global,
-                                      _act.globalBase + sr.index));
-        } else {
-            switch (_act.frame.kind) {
-              case FrameLoc::Kind::Stack:
-                w = _mem.peek(LogicalAddr(Area::Local,
-                                          _act.frame.addr + sr.index));
-                break;
-              case FrameLoc::Kind::Buf0:
-              case FrameLoc::Kind::Buf1: {
-                std::uint16_t base =
-                    _act.frame.kind == FrameLoc::Kind::Buf0
-                        ? micro::kWfFrameBuf0
-                        : micro::kWfFrameBuf1;
-                w = _seq.wf().read(base + sr.index);
-                break;
-              }
-              default:
-                w = TaggedWord{};
-            }
-        }
-        if (w.tag == Tag::Undef) {
-            sol.bindings[kv.first] = kl0::Term::var("_" + kv.first);
-        } else {
-            sol.bindings[kv.first] = exportTerm(w);
-        }
-    }
-    result.solutions.push_back(std::move(sol));
-}
-
-kl0::TermPtr
-Engine::exportTerm(const TaggedWord &w, int depth)
-{
-    if (depth > 100000)
-        return kl0::Term::atom("...");
-
-    TaggedWord cur = w;
-    // Host-level dereference (no accounting: extraction is outside
-    // the measured firmware).
-    while (cur.tag == Tag::Ref) {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        TaggedWord inner = _mem.peek(a);
-        if (inner.tag == Tag::Ref && inner.data == cur.data) {
-            return kl0::Term::var("_G" + std::to_string(cur.data));
-        }
-        cur = inner;
-    }
-
-    switch (cur.tag) {
-      case Tag::Undef:
-        return kl0::Term::var("_U");
-      case Tag::Atom:
-        return kl0::Term::atom(_syms.atomName(cur.data));
-      case Tag::Int:
-        return kl0::Term::integer(cur.asInt());
-      case Tag::Nil:
-        return kl0::Term::nil();
-      case Tag::List: {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        return kl0::Term::compound(
-            ".", {exportTerm(_mem.peek(a), depth + 1),
-                  exportTerm(_mem.peek(a.plus(1)), depth + 1)});
-      }
-      case Tag::Struct: {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        TaggedWord f = _mem.peek(a);
-        PSI_ASSERT(f.tag == Tag::Functor, "bad structure word");
-        std::uint32_t n = _syms.functorArity(f.data);
-        std::vector<kl0::TermPtr> args;
-        args.reserve(n);
-        for (std::uint32_t i = 1; i <= n; ++i)
-            args.push_back(exportTerm(_mem.peek(a.plus(i)), depth + 1));
-        return kl0::Term::compound(_syms.functorName(f.data),
-                                   std::move(args));
-      }
-      case Tag::Vector: {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        TaggedWord size = _mem.peek(a);
-        return kl0::Term::compound(
-            "$vector", {kl0::Term::integer(size.asInt())});
-      }
-      default:
-        return kl0::Term::atom(std::string("$bad_") +
-                               tagName(cur.tag));
-    }
-}
+// One engine core, two accounting policies.
+PSI_ENGINE_CORE_MEMBER(void, load(const kl0::CompiledProgram &));
+PSI_ENGINE_CORE_MEMBER(void, resetMachine());
+PSI_ENGINE_CORE_MEMBER(RunResult, solve(const std::string &,
+                                        const RunLimits &));
+PSI_ENGINE_CORE_MEMBER(RunResult, solve(const kl0::TermPtr &,
+                                        const RunLimits &));
+PSI_ENGINE_CORE_MEMBER(bool, runNested(std::uint32_t, std::uint64_t));
 
 } // namespace interp
 } // namespace psi

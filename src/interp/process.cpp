@@ -25,17 +25,21 @@
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
+#include "fast/fast_engine.hpp"
 
 namespace psi {
 namespace interp {
 
 namespace {
 
-constexpr auto kScr = micro::WfMode::Direct00_0F;
-constexpr auto kReg = micro::WfMode::Direct10_3F;
-
 /** Words per process window inside each stack area. */
 constexpr std::uint32_t kProcWindow = 1u << 24;
+
+/** Process ids 1 .. kMaxProcs - 1 can be entered by process_call. */
+constexpr std::int32_t kMaxProcs = 8;
+
+/** Register-state frame a process switch pushes on the control stack. */
+constexpr std::uint32_t kSwitchFrameWords = 10;
 
 /** Heap-resident shared registry (below the vector region). */
 constexpr std::uint32_t kGlobalRegBase = kl0::kVectorBase - 64;
@@ -43,8 +47,37 @@ constexpr std::uint32_t kGlobalRegSlots = 16;
 
 } // namespace
 
+FidelityAcct::Saved
+FidelityAcct::save() const
+{
+    Saved s{_memTT, _trailBufCount, {}, {}, {}};
+    const micro::WorkFile &wf = _seq.wf();
+    for (std::uint16_t i = 0; i < s.regs.size(); ++i)
+        s.regs[i] = wf.read(i);
+    for (std::uint16_t i = 0; i < s.frames.size(); ++i)
+        s.frames[i] = wf.read(micro::kWfFrameBuf0 + i);
+    for (std::uint16_t i = 0; i < s.trail.size(); ++i)
+        s.trail[i] = wf.read(micro::kWfTrailBuf + i);
+    return s;
+}
+
+void
+FidelityAcct::restore(const Saved &s)
+{
+    _memTT = s.memTT;
+    _trailBufCount = s.trailBufCount;
+    micro::WorkFile &wf = _seq.wf();
+    for (std::uint16_t i = 0; i < s.regs.size(); ++i)
+        wf.write(i, s.regs[i]);
+    for (std::uint16_t i = 0; i < s.frames.size(); ++i)
+        wf.write(micro::kWfFrameBuf0 + i, s.frames[i]);
+    for (std::uint16_t i = 0; i < s.trail.size(); ++i)
+        wf.write(micro::kWfTrailBuf + i, s.trail[i]);
+}
+
+template <class A>
 bool
-Engine::builtinGlobal(kl0::Builtin b)
+EngineCore<A>::builtinGlobal(kl0::Builtin b)
 {
     Deref dk = deref(readA(0, Module::Built), Module::Built);
     if (dk.unbound || dk.word.tag != Tag::Int)
@@ -64,99 +97,21 @@ Engine::builtinGlobal(kl0::Builtin b)
              dv.word.tag != Tag::Nil && dv.word.tag != Tag::Vector)) {
             return false;
         }
-        _seq.writeMem(Module::Built, slot, dv.word, BranchOp::T2Nop,
-                      kReg);
+        _acct.writeMem(Module::Built, slot, dv.word, BranchOp::T2Nop,
+                       kReg);
         return true;
     }
 
-    TaggedWord v = _seq.readMem(Module::Built, slot,
-                                BranchOp::T1CondFalse, kScr, kReg);
+    TaggedWord v = _acct.readMem(Module::Built, slot,
+                                 BranchOp::T1CondFalse, kScr, kReg);
     if (v.tag == Tag::Undef)
         return false;
     return unify(readA(1, Module::Built), v);
 }
 
+template <class A>
 bool
-Engine::runNested(std::uint32_t functor_idx, std::uint64_t max_steps)
-{
-    bool ok = doCall(functor_idx, 0, true);
-    if (!ok)
-        ok = backtrack();
-    if (!ok)
-        return false;
-
-    std::uint64_t start = _seq.stats().totalSteps();
-    for (;;) {
-        if (_seq.stats().totalSteps() - start > max_steps) {
-            warn("process_call: step budget exhausted");
-            return false;
-        }
-        if (_failFlag) {
-            _failFlag = false;
-            if (!backtrack())
-                return false;
-            continue;
-        }
-
-        TaggedWord w = _seq.readMem(Module::Control,
-                                    LogicalAddr(Area::Heap, _cp),
-                                    BranchOp::T1CaseIrOpcode);
-        ++_cp;
-        _seq.texture(Module::Control, 1);
-
-        switch (w.tag) {
-          case Tag::Call:
-          case Tag::CallLast: {
-            std::uint32_t goal_cp = _cp - 1;
-            loadArgs(_syms.functorArity(w.data), Module::Control);
-            if (!doCall(w.data, goal_cp, w.tag == Tag::CallLast))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallBuiltin: {
-            auto b = static_cast<kl0::Builtin>(w.data);
-            loadArgs(kl0::builtinArity(b), Module::GetArg);
-            if (!execBuiltin(b))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallIs:
-            loadArgs(2, Module::GetArg);
-            if (!execIs())
-                _failFlag = true;
-            break;
-          case Tag::CallCmp:
-            loadArgs(2, Module::GetArg);
-            if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
-                _failFlag = true;
-            break;
-          case Tag::CutOp:
-            doCut();
-            break;
-          case Tag::Proceed: {
-            _seq.step(Module::Control, BranchOp::T1CondTrue, kScr,
-                      kScr);
-            if (_act.contEnv == kRootEnv)
-                return true;  // first solution: the process yields
-            if (_act.frame.kind == FrameLoc::Kind::Stack &&
-                _act.frame.addr + _act.nlocals == _lt &&
-                _hl <= _act.frame.addr) {
-                _lt = _act.frame.addr;
-            }
-            std::uint32_t rcp = _act.contCP;
-            restoreEnv(_act.contEnv);
-            _cp = rcp;
-            break;
-          }
-          default:
-            panic("bad instruction word in nested run: ",
-                  tagName(w.tag));
-        }
-    }
-}
-
-bool
-Engine::builtinProcessCall()
+EngineCore<A>::builtinProcessCall()
 {
     if (_inProcessCall) {
         warn("process_call: nesting is not supported");
@@ -170,7 +125,7 @@ Engine::builtinProcessCall()
         return false;
     }
     std::int32_t pid = dp.word.asInt();
-    if (pid < 1 || pid >= static_cast<std::int32_t>(_procTops.size()))
+    if (pid < 1 || pid >= kMaxProcs)
         return false;
     std::uint32_t f =
         _syms.functor(_syms.atomName(df.word.data), 0);
@@ -179,42 +134,22 @@ Engine::builtinProcessCall()
     // The control registers and the live work-file regions go to the
     // control stack (a 10-word frame of register state plus the
     // dirty frame buffer), as the PSI saved WF state "as necessary".
-    _seq.texture(Module::Control, 12);
-    for (int i = 0; i < 10; ++i) {
-        _seq.pushMem(Module::Control,
-                     LogicalAddr(Area::Control, _ct + i),
-                     {Tag::Int, 0}, BranchOp::T3Nop, kReg);
+    _acct.texture(Module::Control, 12);
+    for (std::uint32_t i = 0; i < kSwitchFrameWords; ++i) {
+        _acct.pushMem(Module::Control,
+                      LogicalAddr(Area::Control, _ct + i),
+                      {Tag::Int, 0}, BranchOp::T3Nop, kReg);
     }
 
     struct Saved
     {
-        std::uint32_t gt, lt, ct, memTT, b, hb, hl, cp;
-        std::uint32_t trailBufCount;
+        std::uint32_t gt, lt, ct, b, hb, hl, cp;
         int curBuf;
         bool failFlag;
         Activation act;
-        std::array<TaggedWord, 64> regs;
-        std::array<TaggedWord, 2 * micro::kWfFrameBufWords> frames;
-        std::array<TaggedWord, micro::kWfTrailBufWords> trail;
-    } s;
-    s.gt = _gt;
-    s.lt = _lt;
-    s.ct = _ct + 10;  // past the switch frame
-    s.memTT = _memTT;
-    s.b = _b;
-    s.hb = _hb;
-    s.hl = _hl;
-    s.cp = _cp;
-    s.trailBufCount = _trailBufCount;
-    s.curBuf = _curBuf;
-    s.failFlag = _failFlag;
-    s.act = _act;
-    for (std::uint16_t i = 0; i < 64; ++i)
-        s.regs[i] = _seq.wf().read(i);
-    for (std::uint16_t i = 0; i < 2 * micro::kWfFrameBufWords; ++i)
-        s.frames[i] = _seq.wf().read(micro::kWfFrameBuf0 + i);
-    for (std::uint16_t i = 0; i < micro::kWfTrailBufWords; ++i)
-        s.trail[i] = _seq.wf().read(micro::kWfTrailBuf + i);
+        typename A::Saved regs;
+    } s{_gt, _lt, _ct + kSwitchFrameWords, _b, _hb, _hl, _cp, _curBuf,
+        _failFlag, _act, _acct.save()};
 
     // ---- enter the target process's areas --------------------------
     std::uint32_t base =
@@ -222,10 +157,9 @@ Engine::builtinProcessCall()
     _gt = base;
     _lt = base;
     _ct = base;
-    _memTT = base;
+    _acct.resetTrail(base);
     _b = kNoChoice;
     _hb = _hl = 0;
-    _trailBufCount = 0;
     _curBuf = 0;
     _failFlag = false;
     _act = Activation{};
@@ -236,32 +170,27 @@ Engine::builtinProcessCall()
 
     // ---- switch back -------------------------------------------------
     _inProcessCall = false;
-    _seq.texture(Module::Control, 12);
+    _acct.texture(Module::Control, 12);
     _gt = s.gt;
     _lt = s.lt;
-    _ct = s.ct - 10;
-    _memTT = s.memTT;
+    _ct = s.ct - kSwitchFrameWords;
     _b = s.b;
     _hb = s.hb;
     _hl = s.hl;
     _cp = s.cp;
-    _trailBufCount = s.trailBufCount;
     _curBuf = s.curBuf;
     _failFlag = s.failFlag;
     _act = s.act;
-    for (std::uint16_t i = 0; i < 64; ++i)
-        _seq.wf().write(i, s.regs[i]);
-    for (std::uint16_t i = 0; i < 2 * micro::kWfFrameBufWords; ++i)
-        _seq.wf().write(micro::kWfFrameBuf0 + i, s.frames[i]);
-    for (std::uint16_t i = 0; i < micro::kWfTrailBufWords; ++i)
-        _seq.wf().write(micro::kWfTrailBuf + i, s.trail[i]);
-    for (int i = 0; i < 10; ++i) {
-        _seq.readMem(Module::Control,
-                     LogicalAddr(Area::Control, _ct + i),
-                     BranchOp::T2Nop, micro::WfMode::None, kReg);
+    _acct.restore(s.regs);
+    for (std::uint32_t i = 0; i < kSwitchFrameWords; ++i) {
+        _acct.readMem(Module::Control, LogicalAddr(Area::Control, _ct + i),
+                      BranchOp::T2Nop, kNoWf, kReg);
     }
     return ok;
 }
+
+PSI_ENGINE_CORE_MEMBER(bool, builtinGlobal(kl0::Builtin));
+PSI_ENGINE_CORE_MEMBER(bool, builtinProcessCall());
 
 } // namespace interp
 } // namespace psi

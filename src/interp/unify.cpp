@@ -13,6 +13,7 @@
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
+#include "fast/fast_engine.hpp"
 
 namespace psi {
 namespace interp {
@@ -38,21 +39,22 @@ constexpr int kSkelElem = 2;      ///< per skeleton element
 
 } // namespace
 
+template <class A>
 Deref
-Engine::deref(const TaggedWord &w, Module m)
+EngineCore<A>::deref(const TaggedWord &w, Module m)
 {
     Deref d;
     d.word = w;
     if (w.tag != Tag::Ref) {
         // Tag test of an already-bound word.
-        _seq.step(m, BranchOp::T1CaseTag, kReg, kNoWf, kNoWf);
+        _acct.step(m, BranchOp::T1CaseTag, kReg, kNoWf, kNoWf);
         return d;
     }
     while (d.word.tag == Tag::Ref) {
         LogicalAddr a = LogicalAddr::unpack(d.word.data);
-        _seq.texture(m, kDerefHop);
+        _acct.texture(m, kDerefHop);
         TaggedWord inner =
-            _seq.readMem(m, a, BranchOp::T1CaseTag);
+            _acct.readMem(m, a, BranchOp::T1CaseTag);
         if (inner.tag == Tag::Ref && inner.data == d.word.data) {
             d.unbound = true;
             d.cell = a;
@@ -63,20 +65,24 @@ Engine::deref(const TaggedWord &w, Module m)
     return d;
 }
 
+template <class A>
 void
-Engine::bind(const LogicalAddr &cell, const TaggedWord &value, Module m)
+EngineCore<A>::bind(const LogicalAddr &cell, const TaggedWord &value,
+                    Module m)
 {
-    _seq.texture(m, kBindWork);
-    _seq.writeMem(m, cell, value, BranchOp::T1CondFalse, kReg, kScr);
+    _acct.texture(m, kBindWork);
+    _acct.writeMem(m, cell, value, BranchOp::T1CondFalse, kReg, kScr);
     bool need_trail =
         (cell.area == Area::Global && cell.offset < _hb) ||
         (cell.area == Area::Local && cell.offset < _hl);
     if (need_trail)
-        trailPush(cell);
+        _acct.trailPush(cell);
 }
 
+// The fidelity policy's trail: entries buffered in the WF via WFAR2.
+
 void
-Engine::trailPush(const LogicalAddr &cell)
+FidelityAcct::trailPush(const LogicalAddr &cell)
 {
     _seq.texture(Module::Trail, 1);
     if (!_fw.trailBuffer) {
@@ -98,7 +104,7 @@ Engine::trailPush(const LogicalAddr &cell)
 }
 
 void
-Engine::trailFlush()
+FidelityAcct::trailFlush()
 {
     for (std::uint32_t i = 0; i < _trailBufCount; ++i) {
         _seq.pushMem(Module::Trail,
@@ -111,7 +117,7 @@ Engine::trailFlush()
 }
 
 void
-Engine::unwindTrail(std::uint64_t to_tt)
+FidelityAcct::unwindTrail(std::uint64_t to_tt)
 {
     auto reset_cell = [this](const LogicalAddr &a) {
         if (a.area == Area::Local) {
@@ -146,15 +152,16 @@ Engine::unwindTrail(std::uint64_t to_tt)
     }
 }
 
+template <class A>
 bool
-Engine::unify(const TaggedWord &a, const TaggedWord &b)
+EngineCore<A>::unify(const TaggedWord &a, const TaggedWord &b)
 {
-    _seq.texture(Module::Unify, kUnifyEntry);
+    _acct.texture(Module::Unify, kUnifyEntry);
     Deref da = deref(a, Module::Unify);
     Deref db = deref(b, Module::Unify);
 
     if (da.unbound && db.unbound) {
-        _seq.step(Module::Unify, BranchOp::T1CondTrue, kScr, kScr);
+        _acct.step(Module::Unify, BranchOp::T1CondTrue, kScr, kScr);
         if (da.cell == db.cell)
             return true;
         // Bind the younger cell to the older one so restoring the
@@ -176,7 +183,7 @@ Engine::unify(const TaggedWord &a, const TaggedWord &b)
     }
 
     // Both bound: two-tag dispatch.
-    _seq.step(Module::Unify, BranchOp::T1CaseTag, kScr, kScr);
+    _acct.step(Module::Unify, BranchOp::T1CaseTag, kScr, kScr);
     if (da.word.tag != db.word.tag)
         return false;
 
@@ -192,9 +199,9 @@ Engine::unify(const TaggedWord &a, const TaggedWord &b)
         LogicalAddr aa = LogicalAddr::unpack(da.word.data);
         LogicalAddr ba = LogicalAddr::unpack(db.word.data);
         for (int k = 0; k < 2; ++k) {
-            TaggedWord va = _seq.readMem(Module::Unify, aa.plus(k),
+            TaggedWord va = _acct.readMem(Module::Unify, aa.plus(k),
                                          BranchOp::T2Nop);
-            TaggedWord vb = _seq.readMem(Module::Unify, ba.plus(k),
+            TaggedWord vb = _acct.readMem(Module::Unify, ba.plus(k),
                                          BranchOp::T2Nop);
             if (!unify(va, vb))
                 return false;
@@ -204,17 +211,17 @@ Engine::unify(const TaggedWord &a, const TaggedWord &b)
       case Tag::Struct: {
         LogicalAddr aa = LogicalAddr::unpack(da.word.data);
         LogicalAddr ba = LogicalAddr::unpack(db.word.data);
-        TaggedWord fa = _seq.readMem(Module::Unify, aa,
+        TaggedWord fa = _acct.readMem(Module::Unify, aa,
                                      BranchOp::T1CondFalse, kScr);
-        TaggedWord fb = _seq.readMem(Module::Unify, ba,
+        TaggedWord fb = _acct.readMem(Module::Unify, ba,
                                      BranchOp::T1CondFalse, kScr);
         if (fa.data != fb.data)
             return false;
         std::uint32_t n = _syms.functorArity(fa.data);
         for (std::uint32_t k = 1; k <= n; ++k) {
-            TaggedWord va = _seq.readMem(Module::Unify, aa.plus(k),
+            TaggedWord va = _acct.readMem(Module::Unify, aa.plus(k),
                                          BranchOp::T2Nop);
-            TaggedWord vb = _seq.readMem(Module::Unify, ba.plus(k),
+            TaggedWord vb = _acct.readMem(Module::Unify, ba.plus(k),
                                          BranchOp::T2Nop);
             if (!unify(va, vb))
                 return false;
@@ -226,10 +233,11 @@ Engine::unify(const TaggedWord &a, const TaggedWord &b)
     }
 }
 
+template <class A>
 bool
-Engine::unifyHead(const TaggedWord &desc, const TaggedWord &arg)
+EngineCore<A>::unifyHead(const TaggedWord &desc, const TaggedWord &arg)
 {
-    _seq.texture(Module::Unify, kHeadArgWork);
+    _acct.texture(Module::Unify, kHeadArgWork);
     switch (desc.tag) {
       case Tag::HConst: {
         Deref d = deref(arg, Module::Unify);
@@ -256,7 +264,7 @@ Engine::unifyHead(const TaggedWord &desc, const TaggedWord &arg)
         return d.word.tag == Tag::Nil;
       }
       case Tag::HVoid:
-        _seq.step(Module::Unify, BranchOp::T2Nop, kReg, kNoWf, kNoWf);
+        _acct.step(Module::Unify, BranchOp::T2Nop, kReg, kNoWf, kNoWf);
         return true;
       case Tag::HVarF: {
         VarSlot vs = VarSlot::decode(desc.data);
@@ -328,14 +336,15 @@ Engine::unifyHead(const TaggedWord &desc, const TaggedWord &arg)
     }
 }
 
+template <class A>
 TaggedWord
-Engine::instantiate(std::uint32_t skel_addr, bool is_cons)
+EngineCore<A>::instantiate(std::uint32_t skel_addr, bool is_cons)
 {
     std::vector<TaggedWord> out;
     std::uint32_t start = 0;
     std::uint32_t n = 2;
     if (!is_cons) {
-        TaggedWord f = _seq.readMem(Module::Unify,
+        TaggedWord f = _acct.readMem(Module::Unify,
                                     LogicalAddr(Area::Heap, skel_addr),
                                     BranchOp::T1CaseTag, kScr, kScr);
         PSI_ASSERT(f.tag == Tag::Functor, "bad structure skeleton");
@@ -346,8 +355,8 @@ Engine::instantiate(std::uint32_t skel_addr, bool is_cons)
     out.reserve(start + n);
 
     for (std::uint32_t k = 0; k < n; ++k) {
-        _seq.texture(Module::Unify, kSkelElem);
-        TaggedWord e = _seq.readMem(
+        _acct.texture(Module::Unify, kSkelElem);
+        TaggedWord e = _acct.readMem(
             Module::Unify,
             LogicalAddr(Area::Heap, skel_addr + start + k),
             BranchOp::T1CaseTag);
@@ -364,7 +373,7 @@ Engine::instantiate(std::uint32_t skel_addr, bool is_cons)
                 out.push_back(TaggedWord{});
             } else {
                 VarSlot vs = VarSlot::decode(e.data);
-                _seq.step(Module::Unify, BranchOp::T2Nop, kScr, kScr,
+                _acct.step(Module::Unify, BranchOp::T2Nop, kScr, kScr,
                           kScr);
                 out.push_back(unboundAt(LogicalAddr(
                     Area::Global, _act.globalBase + vs.index)));
@@ -388,18 +397,19 @@ Engine::instantiate(std::uint32_t skel_addr, bool is_cons)
         LogicalAddr cell(Area::Global, base + i);
         TaggedWord w =
             out[i].tag == Tag::Undef ? unboundAt(cell) : out[i];
-        _seq.pushMem(Module::Unify, cell, w, BranchOp::T2Nop, kReg);
+        _acct.pushMem(Module::Unify, cell, w, BranchOp::T2Nop, kReg);
     }
     _gt += static_cast<std::uint32_t>(out.size());
     return {is_cons ? Tag::List : Tag::Struct,
             LogicalAddr(Area::Global, base).pack()};
 }
 
+template <class A>
 bool
-Engine::unifySkelElement(const TaggedWord &skel_elem,
+EngineCore<A>::unifySkelElement(const TaggedWord &skel_elem,
                          const TaggedWord &cell_value)
 {
-    _seq.texture(Module::Unify, kSkelElem);
+    _acct.texture(Module::Unify, kSkelElem);
     switch (skel_elem.tag) {
       case Tag::Atom:
       case Tag::Int:
@@ -414,7 +424,7 @@ Engine::unifySkelElement(const TaggedWord &skel_elem,
       }
       case Tag::SkelVar: {
         if (skel_elem.data & kl0::kSkelVoidBit) {
-            _seq.step(Module::Unify, BranchOp::T2Nop, kScr, kNoWf,
+            _acct.step(Module::Unify, BranchOp::T2Nop, kScr, kNoWf,
                       kNoWf);
             return true;
         }
@@ -450,18 +460,19 @@ Engine::unifySkelElement(const TaggedWord &skel_elem,
     }
 }
 
+template <class A>
 bool
-Engine::unifySkeleton(std::uint32_t skel_addr, bool is_cons,
+EngineCore<A>::unifySkeleton(std::uint32_t skel_addr, bool is_cons,
                       const TaggedWord &term)
 {
     LogicalAddr taddr = LogicalAddr::unpack(term.data);
     std::uint32_t n = 2;
     std::uint32_t off = 0;
     if (!is_cons) {
-        TaggedWord fs = _seq.readMem(Module::Unify,
+        TaggedWord fs = _acct.readMem(Module::Unify,
                                      LogicalAddr(Area::Heap, skel_addr),
                                      BranchOp::T1CondFalse, kScr);
-        TaggedWord ft = _seq.readMem(Module::Unify, taddr,
+        TaggedWord ft = _acct.readMem(Module::Unify, taddr,
                                      BranchOp::T1CondFalse, kScr);
         if (fs.data != ft.data)
             return false;
@@ -469,11 +480,11 @@ Engine::unifySkeleton(std::uint32_t skel_addr, bool is_cons,
         off = 1;
     }
     for (std::uint32_t k = 0; k < n; ++k) {
-        TaggedWord se = _seq.readMem(
+        TaggedWord se = _acct.readMem(
             Module::Unify,
             LogicalAddr(Area::Heap, skel_addr + off + k),
             BranchOp::T1CaseTag);
-        TaggedWord tv = _seq.readMem(Module::Unify,
+        TaggedWord tv = _acct.readMem(Module::Unify,
                                      taddr.plus(off + k),
                                      BranchOp::T2Nop);
         if (!unifySkelElement(se, tv))
@@ -481,6 +492,14 @@ Engine::unifySkeleton(std::uint32_t skel_addr, bool is_cons,
     }
     return true;
 }
+
+PSI_ENGINE_CORE_MEMBER(Deref, deref(const TaggedWord &, Module));
+PSI_ENGINE_CORE_MEMBER(void, bind(const LogicalAddr &, const TaggedWord &,
+                                  Module));
+PSI_ENGINE_CORE_MEMBER(bool, unify(const TaggedWord &, const TaggedWord &));
+PSI_ENGINE_CORE_MEMBER(bool, unifyHead(const TaggedWord &,
+                                       const TaggedWord &));
+PSI_ENGINE_CORE_MEMBER(TaggedWord, instantiate(std::uint32_t, bool));
 
 } // namespace interp
 } // namespace psi

@@ -2,7 +2,7 @@
  * @file
  * psisched: pluggable scheduling for the engine pool.
  *
- * The pool used to drain one FIFO BoundedQueue: a burst of one
+ * The pool used to drain one FIFO queue: a burst of one
  * tenant's heavy queries starved everyone else, and requests sharing
  * a compiled image landed on arbitrary workers, wasting the warm
  * per-worker engine layout.  Scheduler<T> replaces that queue with a
@@ -79,8 +79,8 @@ struct SchedConfig
     /** Global queue bound (jobs waiting, all tenants). */
     std::size_t capacity = 64;
     /** Per-tenant queued-job bound; 0 = capacity (no extra bound),
-     *  so a single-tenant deployment behaves exactly like the old
-     *  BoundedQueue.  Breach refuses fail-fast (OVERLOADED). */
+     *  so a single-tenant deployment behaves exactly like a plain
+     *  bounded FIFO.  Breach refuses fail-fast (OVERLOADED). */
     std::size_t tenantQuota = 0;
     /** Max consecutive same-image dispatches to one worker before
      *  the fair order takes back over. */
@@ -128,7 +128,7 @@ struct Dispatched
 
 /**
  * The pool-facing scheduling interface.  Thread-safe; push and pop
- * block/wake exactly like the BoundedQueue they replace.
+ * block/wake like a bounded MPMC queue.
  */
 template <typename T>
 class Scheduler

@@ -12,6 +12,8 @@
  *  - the warm-engine EnginePool path (mode = Fast), where an engine
  *    and its paged storage are reused across jobs
  *  - per-mode metrics counters and mode echo in JobOutcome
+ *  - a 50k-element answer list exported by both engines, directly
+ *    and through the pool
  *
  * The registry includes the stress workloads the dispatch rewrite is
  * most likely to break: trail40 (deep trail + unwind), deeprec
@@ -342,4 +344,69 @@ TEST(FastEngine, IndexCountersSurfaceInPoolMetrics)
         << prom;
 }
 
+// ----- deep answers -----------------------------------------------------
+
+/** An answer whose list spine is 50k cells deep. */
+programs::BenchProgram
+deepListProgram()
+{
+    programs::BenchProgram p;
+    p.id = "deep_list";
+    p.title = "50k-element answer list";
+    p.source = "mk(0,[]) :- !.\n"
+               "mk(N,[N|T]) :- M is N-1, mk(M,T).\n";
+    p.query = "mk(50000, L)";
+    return p;
+}
+
+/** L must be [n, n-1, ..., 1]; walked without recursion. */
+void
+expectCountdownList(const interp::RunResult &r, std::int64_t n)
+{
+    ASSERT_EQ(r.status, interp::RunStatus::Ok);
+    ASSERT_EQ(r.solutions.size(), 1u);
+    const kl0::Term *t = r.solutions[0].bindings.at("L").get();
+    for (std::int64_t want = n; want > 0; --want) {
+        ASSERT_TRUE(t->isCons()) << "element " << want;
+        ASSERT_TRUE(t->args()[0]->isInt());
+        ASSERT_EQ(t->args()[0]->value(), want);
+        t = t->args()[1].get();
+    }
+    EXPECT_TRUE(t->isNil());
+}
+
+/**
+ * Answer export walks the machine term with an explicit stack, so a
+ * list far deeper than the host stack allows for recursion comes back
+ * whole - on both engines, directly and through the pool.
+ */
+TEST(DeepAnswer, FiftyThousandElementListExportsInBothModes)
+{
+    const programs::BenchProgram p = deepListProgram();
+    auto image = kl0::CompiledProgram::compile(p.source);
+
+    interp::Engine eng;
+    eng.load(image);
+    expectCountdownList(eng.solve(p.query), 50000);
+
+    fast::FastEngine fe;
+    fe.load(image);
+    expectCountdownList(fe.solve(p.query), 50000);
+
+    EnginePool::Config config;
+    config.workers = 2;
+    EnginePool pool(config);
+    for (auto mode : {interp::ExecMode::Fidelity, interp::ExecMode::Fast}) {
+        SCOPED_TRACE(interp::execModeName(mode));
+        QueryJob job{p, CacheConfig::psi(), interp::RunLimits()};
+        job.mode = mode;
+        auto f = pool.submit(std::move(job));
+        ASSERT_TRUE(f.has_value());
+        JobOutcome out = f->get();
+        ASSERT_TRUE(out.error.empty()) << out.error;
+        expectCountdownList(out.run.result, 50000);
+    }
+}
+
 } // namespace
+

@@ -715,7 +715,10 @@ TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
     // is saturated, then submitRetry() a third from a second client.
     // Its early attempts are refused OVERLOADED; the retry loop must
     // back off and land the job once the deadline reaps the parked
-    // work.
+    // work.  The parked workload outlasts its deadline (lisp_tarai
+    // runs for over a second), and the jobs are parked one at a time:
+    // the first must reach the worker before the second takes the only
+    // queue slot, or the second is refused and the pool never fills.
     ServerHarness harness(serverConfig(1, 1));
     std::string error;
 
@@ -723,10 +726,18 @@ TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
     ASSERT_TRUE(
         pipeline.connect("127.0.0.1", harness.port(), &error))
         << error;
-    for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(pipeline.sendSubmit("bup3", 300'000'000ull,
+    for (std::uint64_t i = 0; i < 2; ++i) {
+        ASSERT_TRUE(pipeline.sendSubmit("lisp_tarai", 300'000'000ull,
                                         nullptr, &error))
             << error;
+        for (int spin = 0;; ++spin) {
+            service::MetricsSnapshot m = harness.server.metrics();
+            if (m.submitted == i + 1 && m.queueDepth == i)
+                break;
+            ASSERT_LT(spin, 5000) << "parked job " << i << " stuck";
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
 
     net::PsiClient client;
     client.setRetryPolicy(testRetryPolicy(100, 3));
