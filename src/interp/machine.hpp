@@ -169,9 +169,9 @@ const char *runStatusName(RunStatus s);
  *
  * Fidelity is the microcoded interpreter whose sequencer drives the
  * paper's model clock and cache statistics (Tables 2-7). Fast is the
- * token-threaded flat-dispatch engine (src/fast/): byte-identical
- * answers and output, no per-step accounting (steps and model time
- * report as zero).
+ * same engine core over the non-accounting policy (src/fast/):
+ * byte-identical answers and output, no per-step accounting (steps
+ * and model time report as zero).
  */
 enum class ExecMode : std::uint8_t
 {
