@@ -522,7 +522,10 @@ synthesize(const GenConfig &config)
         unsigned tenant = 0;
         while (tenant + 1 < tenants && t >= tenantCdf[tenant])
             ++tenant;
-        entry.tenant = "t" + std::to_string(tenant);
+        // "t<n>", built in place: GCC 12 -O3 misreports -Wrestrict on
+        // "t" + std::to_string(n).
+        entry.tenant = std::to_string(tenant);
+        entry.tenant.insert(entry.tenant.begin(), 't');
 
         std::uint64_t pick = rng.below(shareTotal);
         for (const GenWorkload &w : config.workloads) {

@@ -8,6 +8,8 @@
 
 #include "baseline/wam_machine.hpp"
 
+#include <string_view>
+
 #include "base/logging.hpp"
 
 namespace psi {
@@ -133,7 +135,7 @@ WamEngine::termCompare(const TaggedWord &a, const TaggedWord &b,
         return true;
       case 4: {
         auto shape = [this](const TaggedWord &d, std::uint32_t &n,
-                            std::string &name, std::uint32_t &args) {
+                            std::string_view &name, std::uint32_t &args) {
             if (d.tag == Tag::List) {
                 n = 2;
                 name = ".";
@@ -147,8 +149,8 @@ WamEngine::termCompare(const TaggedWord &a, const TaggedWord &b,
         };
         std::uint32_t na = 0;
         std::uint32_t nb = 0;
-        std::string fa;
-        std::string fb;
+        std::string_view fa;
+        std::string_view fb;
         std::uint32_t aa = 0;
         std::uint32_t ab = 0;
         shape(da, na, fa, aa);

@@ -33,13 +33,28 @@
  * first-argument indexing (kl0::CompileOptions::firstArgIndexing) is
  * supported: the core resolves an IndexRef directory entry through
  * the same heap-resident index structure in both modes.
+ *
+ * Warm reload contract (a pool worker loads before every job):
+ *  - reset on every load: the dirty extent of each stack, the heap a
+ *    run writes (global_set registry and vectors), registers and run
+ *    state; pages beyond FastAcct::kRetainedPages are unmapped;
+ *  - kept when the image is the one already held: its heap words,
+ *    symbol table and codegen state, plus the last compiled query,
+ *    which solve() reruns in place when the query text repeats;
+ *  - rolled back otherwise: query code and directory words above the
+ *    image are zeroed, symbols truncated, codegen rewound.
+ * Rolled back, the machine holds exactly what a fresh load leaves, and
+ * a reused query is exactly what a fresh compile would emit at the
+ * same addresses, so results are byte-identical to a fresh engine's.
  */
 
 #ifndef PSI_FAST_FAST_ENGINE_HPP
 #define PSI_FAST_FAST_ENGINE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "interp/engine_core.hpp"
@@ -57,10 +72,18 @@ namespace fast {
 /**
  * Paged flat storage for one logical area (28-bit word offsets).
  *
- * Pages are allocated zeroed on first write and kept mapped across
- * clear() so a warm engine reloading the same image does not churn
- * the allocator.  A read of a never-written word returns the Undef
- * word, matching MemorySystem::peek of untouched memory.
+ * Pages are allocated zeroed on first write.  A read of a
+ * never-written word returns the Undef word, matching
+ * MemorySystem::peek of untouched memory.
+ *
+ * The area keeps a dirty extent: every word written since the last
+ * clear lies below it.  push() raises it; write() does not, because
+ * the engine core writes only to cells it pushed first (bindings,
+ * frame slots, trail unwinds), so the hot path carries no compare.
+ * Clearing therefore costs what was written, not what was ever
+ * mapped.  The one exception is the heap a run writes (the
+ * global_set registry and vectors, see interp::kGlobalRegBase),
+ * which FastEngine::load zeroes as a range.
  */
 class FlatArea
 {
@@ -85,8 +108,29 @@ class FlatArea
         page(off >> kPageShift)[off & kPageMask] = w;
     }
 
-    /** Zero every touched page; keep the pages mapped. */
-    void clear();
+    /** A write where the area grows: a stack push, a trail entry,
+     *  a code word.  Raises the dirty extent. */
+    void
+    push(std::uint32_t off, const TaggedWord &w)
+    {
+        write(off, w);
+        if (off >= _extent)
+            _extent = off + 1;
+    }
+
+    /** Zero [@p from, dirty extent) and lower the extent to @p from. */
+    void clearFrom(std::uint32_t from);
+
+    /** Zero the words [@p lo, @p hi) that lie on mapped pages. */
+    void zero(std::uint32_t lo, std::uint32_t hi);
+
+    /** Unmap every page but the @p keep lowest mapped ones. */
+    void trim(std::size_t keep);
+
+    std::size_t mappedPages() const { return _mapped.size(); }
+
+    /** Word-for-word equality, an unmapped page reading as zeros. */
+    bool sameContents(const FlatArea &other) const;
 
   private:
     TaggedWord *
@@ -100,6 +144,7 @@ class FlatArea
 
     std::vector<std::unique_ptr<TaggedWord[]>> _pages;
     std::vector<std::uint32_t> _mapped;
+    std::uint32_t _extent = 0; ///< all writes since the last clear lie below
 };
 
 /**
@@ -112,6 +157,17 @@ class FastAcct
     using Module = micro::Module;
     using BranchOp = micro::BranchOp;
     using WfMode = micro::WfMode;
+
+    /**
+     * Pages each area keeps mapped across a load (8 x 128 KiB).
+     * Every registry program but one runs within it; a bigger run
+     * maps more, and the next load unmaps the excess, so the
+     * footprint follows the last request, not the largest.  Zeroing
+     * a kept page costs a few microseconds, unmapping one several
+     * times that, so the cap sits above the working sets a worker
+     * sees run after run.
+     */
+    static constexpr std::size_t kRetainedPages = 8;
 
     static constexpr interp::FirmwareOptions fw() { return {}; }
     /** Scratch memory the shared CodeGen emits query code into; its
@@ -135,15 +191,10 @@ class FastAcct
     pushMem(Module, const LogicalAddr &a, const TaggedWord &w,
             BranchOp, WfMode = WfMode::None, WfMode = WfMode::None)
     {
-        write(a, w);
+        push(a, w);
     }
     TaggedWord peek(const LogicalAddr &a) const { return read(a); }
-    void
-    poke(const LogicalAddr &a, const TaggedWord &w)
-    {
-        _qmem.poke(a, w);
-        write(a, w);
-    }
+    void poke(const LogicalAddr &a, const TaggedWord &w) { push(a, w); }
 
     // ----- accounting -------------------------------------------------
     void step(Module, BranchOp, WfMode = WfMode::None,
@@ -167,7 +218,7 @@ class FastAcct
     void
     trailPush(const LogicalAddr &cell)
     {
-        write(LogicalAddr(Area::Trail, _regs.tt), {Tag::Ref, cell.pack()});
+        push(LogicalAddr(Area::Trail, _regs.tt), {Tag::Ref, cell.pack()});
         ++_regs.tt;
     }
     void trailFlush() {}
@@ -178,12 +229,34 @@ class FastAcct
     // ----- limits and run lifecycle -----------------------------------
     /** maxSteps counts dispatches. */
     std::uint64_t tick() { return ++_dispatches; }
-    void reset();
+    /**
+     * Empty the four stacks and the heap from word @p heapTop up,
+     * keeping the image below it: zero each area's dirty extent and
+     * unmap the pages beyond kRetainedPages (and beyond the kept
+     * image).  The heap a run writes outside the code is the
+     * caller's to zero (zeroHeap).
+     */
+    void reset(std::uint32_t heapTop = 0);
+    /** Zero the heap from word @p top up to its dirty extent. */
+    void clearHeapFrom(std::uint32_t top)
+    {
+        _area[static_cast<int>(Area::Heap)].clearFrom(top);
+    }
+    /** Zero heap words [@p lo, @p hi). */
+    void zeroHeap(std::uint32_t lo, std::uint32_t hi)
+    {
+        _area[static_cast<int>(Area::Heap)].zero(lo, hi);
+    }
     void beginRun() { _dispatches = 0; }
     std::uint64_t steps() const { return 0; }
     std::uint64_t timeNs() const { return 0; }
     kl0::QueryCode compileQuery(kl0::CodeGen &cg,
                                 const kl0::TermPtr &goal);
+
+    /** Words on mapped pages, over all areas. */
+    std::uint64_t mappedWords() const;
+    /** Word-for-word equality of all five areas. */
+    bool sameMemory(const FastAcct &other) const;
 
     /** Register state a process switch saves. */
     struct Saved
@@ -206,36 +279,112 @@ class FastAcct
     {
         _area[static_cast<int>(a.area)].write(a.offset, w);
     }
+    void
+    push(const LogicalAddr &a, const TaggedWord &w)
+    {
+        _area[static_cast<int>(a.area)].push(a.offset, w);
+    }
 
     FlatArea _area[kNumAreas];
+    /** Only query compiles write here, and they read back only what
+     *  they wrote, so it is never reset and holds no image. */
     MemorySystem _qmem;
     std::vector<PokeRecord> _queryPokes;
     Saved _regs;
     std::uint64_t _dispatches = 0; ///< maxSteps proxy
 };
 
-/** The flat-dispatch KL0 engine. */
+/**
+ * The flat-dispatch KL0 engine.
+ *
+ * A warm engine reloads cheaply.  load() of the image it already
+ * holds (same CompiledProgram::id) zeroes only what the last run
+ * dirtied and keeps the heap image, symbol table and code-generator
+ * state in place.  solve() of the query text compiled last against
+ * that image runs the query code still in the heap.  Any other
+ * image or query first rolls the machine back to the state a fresh
+ * load leaves, so every result is byte-identical to a fresh engine's.
+ */
 class FastEngine : public interp::EngineCore<FastAcct>
 {
   public:
-    FastEngine() = default;
+    /**
+     * Bound on mappedWords() right after load() of an image that
+     * fits in FastAcct::kRetainedPages heap pages, whatever ran
+     * before.
+     */
+    static constexpr std::uint64_t kMaxRetainedWords =
+        std::uint64_t{kNumAreas} * FastAcct::kRetainedPages *
+        FlatArea::kPageWords;
+
+    FastEngine()
+        : _image{0, _codegen.heapTop(), _syms.atomCount(),
+                 _syms.functorCount()}
+    {}
 
     /**
-     * Install a precompiled image: replay its poke log into the flat
-     * areas and adopt its symbol table and codegen snapshot, exactly
-     * as interp::Engine::load does for the firmware machine.
+     * Install a precompiled image, leaving the machine as a fresh
+     * engine's load would: from scratch for a new image (replay its
+     * poke log, adopt its symbol table and codegen snapshot), in
+     * place for the image already held.
      */
-    void
-    load(const kl0::CompiledProgram &image)
+    void load(const kl0::CompiledProgram &image);
+
+    /** Compile and run a query given as text; reuses the compiled
+     *  query when the text and image are the ones last compiled. */
+    interp::RunResult solve(const std::string &query_text,
+                            const interp::RunLimits &limits =
+                                interp::RunLimits());
+
+    /** Compile and run a query term. */
+    interp::RunResult solve(const kl0::TermPtr &goal,
+                            const interp::RunLimits &limits =
+                                interp::RunLimits());
+
+    bool loaded() const { return _image.id != 0; }
+
+    /** Words on mapped pages (the engine's storage footprint). */
+    std::uint64_t mappedWords() const { return _acct.mappedWords(); }
+
+    /** True when both engines' areas hold the same words. */
+    bool
+    sameMemory(const FastEngine &other) const
     {
-        EngineCore::load(image);
-        _loaded = true;
+        return _acct.sameMemory(other._acct);
     }
 
-    bool loaded() const { return _loaded; }
-
   private:
-    bool _loaded = false;
+    /** Compile @p goal against the image state and run it; the code
+     *  is kept for reuse under @p text when that is non-null. */
+    interp::RunResult compileAndRun(const kl0::TermPtr &goal,
+                                    const interp::RunLimits &limits,
+                                    const std::string *text);
+    /** Return heap, symbols and codegen to the image state. */
+    void dropQuery();
+
+    /** The image held (none yet: the empty machine), and the symbol
+     *  counts it came with. */
+    struct Held
+    {
+        std::uint64_t id;         ///< CompiledProgram::id; 0 = none
+        std::uint32_t top;        ///< first heap word after the image
+        std::uint32_t atoms;
+        std::uint32_t functors;
+    } _image;
+
+    /** The last query compiled against the image. */
+    struct Query
+    {
+        std::string text;
+        kl0::QueryCode code;
+        std::uint32_t atoms = 0;    ///< symbol counts after the compile
+        std::uint32_t functors = 0;
+        bool valid = false;         ///< its code is the heap's only query
+    } _query;
+
+    /** Some query compile has written past the image since it was
+     *  installed or last rolled back. */
+    bool _queryInHeap = false;
 };
 
 } // namespace fast

@@ -82,7 +82,10 @@ void
 Engine::load(const kl0::CompiledProgram &image,
              const CacheConfig &cache)
 {
-    mem().reconfigure(cache);
+    // load() resets the memory system once; only a new geometry needs
+    // more than that.
+    if (!(mem().cache().config() == cache))
+        mem().reconfigure(cache);
     load(image);
 }
 
@@ -93,12 +96,31 @@ void
 EngineCore<A>::clearMachine()
 {
     _acct.reset();
+    clearRunState();
+}
+
+template <class A>
+void
+EngineCore<A>::clearRunState()
+{
     resetRun();
     _vecTop = kl0::kVectorBase;
     _maxOutputBytes = 1 << 20;
     _inProcessCall = false;
     _warnedUndefined.clear();
     _arithOps.clear(); // functor indices are per symbol table
+}
+
+template <class A>
+void
+EngineCore<A>::truncateSymbols(std::uint32_t atoms,
+                               std::uint32_t functors)
+{
+    _syms.truncate(atoms, functors);
+    if (_arithOps.size() > functors)
+        _arithOps.resize(functors);
+    if (_warnedUndefined.size() > functors)
+        _warnedUndefined.resize(functors);
 }
 
 template <class A>
@@ -1076,6 +1098,11 @@ EngineCore<A>::doCut()
 // One engine core, two accounting policies.
 PSI_ENGINE_CORE_MEMBER(void, load(const kl0::CompiledProgram &));
 PSI_ENGINE_CORE_MEMBER(void, resetMachine());
+PSI_ENGINE_CORE_MEMBER(void, clearRunState());
+PSI_ENGINE_CORE_MEMBER(void, truncateSymbols(std::uint32_t,
+                                             std::uint32_t));
+PSI_ENGINE_CORE_MEMBER(RunResult, run(const kl0::QueryCode &,
+                                      const RunLimits &));
 PSI_ENGINE_CORE_MEMBER(RunResult, solve(const std::string &,
                                         const RunLimits &));
 PSI_ENGINE_CORE_MEMBER(RunResult, solve(const kl0::TermPtr &,

@@ -120,6 +120,27 @@ class EngineCore
      */
     void resetMachine();
 
+    /**
+     * Everything clearMachine() clears except the policy's memory,
+     * symbols and heap image: registers, run counters, output,
+     * vector and process state, the per-functor memos.
+     */
+    void clearRunState();
+
+    /** Run compiled query @p qc (the back half of solve()). */
+    RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
+
+    /** End of the heap vectors allocated since the last load; the
+     *  heap a run writes is [kGlobalRegBase, vectorTop()). */
+    std::uint32_t vectorTop() const { return _vecTop; }
+
+    /**
+     * Forget every symbol interned after the table held @p atoms
+     * atoms and @p functors functors, with the per-functor memos
+     * keyed by the forgotten indices.
+     */
+    void truncateSymbols(std::uint32_t atoms, std::uint32_t functors);
+
     Acct _acct;
     kl0::SymbolTable _syms;
     kl0::CodeGen _codegen;
@@ -138,7 +159,6 @@ class EngineCore
     /** Everything resetMachine clears except symbols and heap image. */
     void clearMachine();
     void resetRun();
-    RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
     /**
      * The firmware main loop.  At top level it runs query @p qc,
      * collecting solutions into @p result until they or a limit run

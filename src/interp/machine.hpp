@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "kl0/codegen.hpp"
 #include "kl0/term.hpp"
 #include "mem/area.hpp"
 #include "mem/tagged_word.hpp"
@@ -85,6 +86,15 @@ constexpr std::uint32_t kNoChoice = 0;
 
 /** Stacks start at offset 16 so 0 never aliases a valid frame. */
 constexpr std::uint32_t kStackBase = 16;
+
+/**
+ * Heap-resident shared registry of global_set/global_get, just below
+ * the vector region.  With the vectors at [kl0::kVectorBase, vector
+ * top) it is all the heap a run writes: everything else in the heap
+ * is code, stored before the run starts.
+ */
+constexpr std::uint32_t kGlobalRegBase = kl0::kVectorBase - 64;
+constexpr std::uint32_t kGlobalRegSlots = 16;
 
 /** Words per control-stack frame (the paper's 10-word frames). */
 constexpr std::uint32_t kFrameWords = 10;

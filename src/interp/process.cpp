@@ -41,10 +41,6 @@ constexpr std::int32_t kMaxProcs = 8;
 /** Register-state frame a process switch pushes on the control stack. */
 constexpr std::uint32_t kSwitchFrameWords = 10;
 
-/** Heap-resident shared registry (below the vector region). */
-constexpr std::uint32_t kGlobalRegBase = kl0::kVectorBase - 64;
-constexpr std::uint32_t kGlobalRegSlots = 16;
-
 } // namespace
 
 FidelityAcct::Saved

@@ -556,7 +556,9 @@ CodeGen::compilePredicate(const PredId &id,
 
     // Incremental consulting appends: the new clause table holds the
     // previously compiled clauses followed by the new ones.
-    std::vector<std::uint32_t> &addrs = _clauses[f];
+    auto [slot, inserted] = _clauses.try_emplace(f);
+    std::vector<std::uint32_t> &addrs = slot->second;
+    _undo.push_back({f, addrs.size(), inserted});
     for (const auto &cl : clauses) {
         VarMap vars;
         addrs.push_back(compileClause(cl, vars));
@@ -582,6 +584,21 @@ CodeGen::compile(const Program &program)
 {
     for (const auto &id : program.predicates())
         compilePredicate(id, program.clauses(id));
+}
+
+void
+CodeGen::rewind()
+{
+    for (auto it = _undo.rbegin(); it != _undo.rend(); ++it) {
+        if (it->inserted)
+            _clauses.erase(it->functor);
+        else
+            _clauses[it->functor].resize(it->clauses);
+    }
+    _undo.clear();
+    _cursor = _restoredCursor;
+    _queryCounter = 0;
+    _exprSkel = false;
 }
 
 QueryCode

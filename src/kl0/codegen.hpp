@@ -211,9 +211,19 @@ class CodeGen
     {
         _cursor = s.cursor;
         _clauses = s.clauses;
+        _undo.clear();
+        _restoredCursor = s.cursor;
         _queryCounter = 0;
         _exprSkel = false;
     }
+
+    /**
+     * Return to the state the last restore() left, without copying
+     * the snapshot again: undo every clause-table change made since
+     * (in reverse) and rewind the heap cursor and query counter.
+     * The heap words emitted since are the caller's to clear.
+     */
+    void rewind();
 
   private:
     struct VarInfo
@@ -279,6 +289,15 @@ class CodeGen
     /** All clause addresses per functor, across compile() calls, so
      *  incremental consulting appends instead of replacing. */
     std::map<std::uint32_t, std::vector<std::uint32_t>> _clauses;
+    /** One clause-table change since the last restore(). */
+    struct Undo
+    {
+        std::uint32_t functor;
+        std::size_t clauses;   ///< table length before the change
+        bool inserted;         ///< the table did not exist before
+    };
+    std::vector<Undo> _undo;
+    std::uint32_t _restoredCursor = kCodeBase;
     std::uint64_t _queryCounter = 0;
     /** True while emitting an arithmetic-expression skeleton (local
      *  variable slots are then permitted in SkelVar elements). */

@@ -1,5 +1,7 @@
 #include "kl0/compiled_program.hpp"
 
+#include <atomic>
+
 #include "kl0/normalize.hpp"
 #include "kl0/program.hpp"
 
@@ -38,6 +40,8 @@ CompiledProgram::compile(const std::string &source,
     out._snapshot = codegen.snapshot();
     out._options = opts;
     out._hash = hashSource(source);
+    static std::atomic<std::uint64_t> compiles{0};
+    out._id = compiles.fetch_add(1, std::memory_order_relaxed) + 1;
     return out;
 }
 

@@ -72,6 +72,14 @@ class CompiledProgram
     /** Code-generator state to restore alongside the image. */
     const CodeGen::Snapshot &codegen() const { return _snapshot; }
 
+    /**
+     * Identity of this compile: unique per compile() call in the
+     * process and never reused, shared by copies (which hold the same
+     * image).  A warm engine compares it to tell "the image I already
+     * hold" from a different one, including one at a recycled address.
+     */
+    std::uint64_t id() const { return _id; }
+
     /** hashSource() of the source this was compiled from. */
     std::uint64_t sourceHash() const { return _hash; }
 
@@ -92,6 +100,7 @@ class CompiledProgram
     CodeGen::Snapshot _snapshot;
     CompileOptions _options;
     std::uint64_t _hash = 0;
+    std::uint64_t _id = 0;
 };
 
 } // namespace kl0

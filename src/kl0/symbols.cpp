@@ -36,6 +36,20 @@ SymbolTable::functor(const std::string &name, std::uint32_t arity)
     return idx;
 }
 
+void
+SymbolTable::truncate(std::uint32_t atoms, std::uint32_t functors)
+{
+    PSI_ASSERT(atoms >= 2 && atoms <= _atomNames.size() &&
+                   functors <= _functors.size(),
+               "symbol table truncated past its own end");
+    for (std::size_t i = functors; i < _functors.size(); ++i)
+        _functorIds.erase(_functors[i]);
+    _functors.resize(functors);
+    for (std::size_t i = atoms; i < _atomNames.size(); ++i)
+        _atoms.erase(_atomNames[i]);
+    _atomNames.resize(atoms);
+}
+
 const std::string &
 SymbolTable::atomName(std::uint32_t idx) const
 {

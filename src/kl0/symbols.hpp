@@ -48,6 +48,14 @@ class SymbolTable
         return static_cast<std::uint32_t>(_functors.size());
     }
 
+    /**
+     * Forget every symbol interned after the table held @p atoms
+     * atoms and @p functors functors.  Interning only appends, so the
+     * result equals the table as it was at those counts; the cost is
+     * one erase per forgotten symbol.
+     */
+    void truncate(std::uint32_t atoms, std::uint32_t functors);
+
     /** Pre-interned common atoms. */
     std::uint32_t nilAtom() const { return _nil; }
     std::uint32_t trueAtom() const { return _true; }

@@ -70,6 +70,8 @@ struct CacheConfig
 
     /** PSI production configuration. */
     static CacheConfig psi() { return CacheConfig{}; }
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Event counts kept by the cache, per area and per command. */

@@ -75,7 +75,6 @@ MemorySystem::reset()
 void
 MemorySystem::reconfigure(const CacheConfig &config)
 {
-    reset();
     _cache.reconfigure(config);
 }
 

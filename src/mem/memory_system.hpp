@@ -82,7 +82,12 @@ class MemorySystem
      */
     void reset();
 
-    /** Full reset plus a new cache configuration. */
+    /**
+     * Adopt a new cache configuration with an empty cache.  Memory
+     * contents and stall time are kept: a reset() must follow before
+     * the unit is as good as freshly constructed (Engine::load does
+     * one).
+     */
     void reconfigure(const CacheConfig &config);
 
   private:

@@ -49,10 +49,11 @@ EnginePool::~EnginePool()
 std::optional<SubmitError>
 EnginePool::enqueue(Job &&job, Submit mode)
 {
+    job.sourceHash =
+        kl0::CompiledProgram::hashSource(job.query.program.source);
     sched::TaskInfo info;
     info.tenant = job.query.tenant;
-    info.affinityKey =
-        kl0::CompiledProgram::hashSource(job.query.program.source);
+    info.affinityKey = job.sourceHash;
     info.deadlineNs = job.query.limits.deadlineNs;
     info.submitted = job.submitted;
 
@@ -177,8 +178,8 @@ EnginePool::workerMain(unsigned index)
                     tracing ? trace::nowNs() : 0;
                 bool compiled = false;
                 ProgramCache::ProgramPtr image = _programCache->get(
-                    job->query.program.source, job->query.compile,
-                    &compiled);
+                    job->sourceHash, job->query.program.source,
+                    job->query.compile, &compiled);
                 if (tracing)
                     trace::record(compiled
                                       ? trace::Stage::Compile

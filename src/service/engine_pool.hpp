@@ -214,6 +214,9 @@ class EnginePool
         /** Set for submitAsync() jobs; used instead of the promise. */
         std::function<void(JobOutcome)> done;
         std::chrono::steady_clock::time_point submitted;
+        /** hashSource() of the program: the scheduler's affinity
+         *  key and the ProgramCache key, computed once at submit. */
+        std::uint64_t sourceHash = 0;
     };
 
     std::optional<SubmitError> enqueue(Job &&job, Submit mode);

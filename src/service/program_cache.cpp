@@ -4,12 +4,12 @@ namespace psi {
 namespace service {
 
 ProgramCache::ProgramPtr
-ProgramCache::get(const std::string &source, kl0::CompileOptions opts,
-                  bool *compiled)
+ProgramCache::get(std::uint64_t sourceHash, const std::string &source,
+                  kl0::CompileOptions opts, bool *compiled)
 {
     // The option bits are folded into the key so images compiled with
     // different options (indexed vs unindexed) never alias.
-    std::uint64_t key = kl0::CompiledProgram::hashSource(source);
+    std::uint64_t key = sourceHash;
     key ^= (static_cast<std::uint64_t>(opts.firstArgIndexing) |
             (static_cast<std::uint64_t>(opts.specializeBuiltins) << 1))
            * 0x9e3779b97f4a7c15ull;

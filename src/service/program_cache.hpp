@@ -64,9 +64,22 @@ class ProgramCache
      *        signal psitrace uses to name the span compile vs
      *        cache-hit.
      */
-    ProgramPtr get(const std::string &source,
-                   kl0::CompileOptions opts = {},
-                   bool *compiled = nullptr);
+    ProgramPtr
+    get(const std::string &source, kl0::CompileOptions opts = {},
+        bool *compiled = nullptr)
+    {
+        return get(kl0::CompiledProgram::hashSource(source), source,
+                   opts, compiled);
+    }
+
+    /**
+     * Same, for a caller that already holds
+     * CompiledProgram::hashSource(@p source) - the pool hashes each
+     * job's source once, at submit.  The full source still guards
+     * against collisions.
+     */
+    ProgramPtr get(std::uint64_t sourceHash, const std::string &source,
+                   kl0::CompileOptions opts, bool *compiled = nullptr);
 
     Stats stats() const;
 

@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -89,13 +91,185 @@ TEST(FastEngine, ByteIdenticalToFidelityOnFullRegistry)
     }
 }
 
+void expectCountdownList(const interp::RunResult &r, std::int64_t n);
+
+/** One (image, query) step of a warm-engine sequence. */
+struct WarmStep
+{
+    std::string label;
+    std::shared_ptr<const kl0::CompiledProgram> image;
+    std::string query;
+    interp::RunResult fidelity; ///< the reference answer
+};
+
 /**
- * One engine, whole registry, no reload between reruns: clear() must
- * restore a byte-identical starting state (stack tops, trail, vector
- * space, generated-name counter) or answers drift on the second run.
+ * The warm-sequence pool: registry programs that write the heap at
+ * run time (vectors, global_set, process_call), one source with
+ * several queries (including control constructs, which compile
+ * auxiliary predicates), indexed and unindexed images of one source,
+ * and a 20k-element answer.
+ */
+std::vector<WarmStep>
+warmSteps()
+{
+    auto compile = [](const std::string &src, kl0::CompileOptions o) {
+        return std::make_shared<const kl0::CompiledProgram>(
+            kl0::CompiledProgram::compile(src, o));
+    };
+    std::vector<WarmStep> steps;
+    for (const char *id : {"nreverse30", "qsort50", "lcp1", "bup1",
+                           "setclash", "window1", "window2",
+                           "trail40", "polyop"}) {
+        const auto &p = programs::programById(id);
+        steps.push_back({id, compile(p.source, {}), p.query, {}});
+    }
+
+    const std::string lists =
+        "app([], L, L).\n"
+        "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+        "nrev([], []).\n"
+        "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+        "kind([], empty).\n"
+        "kind([_|_], list).\n"
+        "kind(N, int) :- integer(N).\n";
+    kl0::CompileOptions unindexed;
+    unindexed.firstArgIndexing = false;
+    unindexed.specializeBuiltins = false;
+    for (const auto &img : {compile(lists, {}), compile(lists, unindexed)}) {
+        const std::string tag =
+            img->options().firstArgIndexing ? "indexed " : "unindexed ";
+        for (const char *q :
+             {"nrev([1,2,3,4,5,6], R)", "app(X, Y, [a,b,c])",
+              "app(X, Y, Z)", "kind(3, K), kind([], E)",
+              "(app(X, [c], [a,b,c]) -> W = found ; W = none)",
+              "(kind(foo(1), K) ; K = other)"}) {
+            steps.push_back({tag + q, img, q, {}});
+        }
+    }
+
+    const std::string shared =
+        "bump(N) :- global_get(0, C), !, C1 is C + N, global_set(0, C1).\n"
+        "bump(N) :- global_set(0, N).\n"
+        "fill(_, I, N) :- I >= N, !.\n"
+        "fill(V, I, N) :- vector_set(V, I, I), I1 is I + 1, fill(V, I1, N).\n"
+        "sum(_, I, N, S, S) :- I >= N, !.\n"
+        "sum(V, I, N, S0, S) :- vector_get(V, I, X), S1 is S0 + X,\n"
+        "    I1 is I + 1, sum(V, I1, N, S1, S).\n";
+    auto img = compile(shared, {});
+    // A registry or vector left over from an earlier run shows up as
+    // a different count or sum.
+    steps.push_back({"global_set", img, "bump(3), global_get(0, X)", {}});
+    steps.push_back({"vectors", img,
+                     "vector_new(8, V), fill(V, 0, 8), sum(V, 0, 8, 0, S),"
+                     " vector_size(V, N)",
+                     {}});
+
+    steps.push_back({"20k answer",
+                     compile("mk(0,[]) :- !.\n"
+                             "mk(N,[N|T]) :- M is N-1, mk(M,T).\n",
+                             {}),
+                     "mk(20000, L)", {}});
+    return steps;
+}
+
+interp::RunLimits
+warmLimits()
+{
+    interp::RunLimits limits;
+    limits.maxSolutions = 4;
+    return limits;
+}
+
+/**
+ * One warm engine serving seeded cross-program sequences - a big
+ * answer between two runs of one program, one image under several
+ * queries, indexed and unindexed images of one source, programs that
+ * write the heap at run time - must answer every step exactly as a
+ * fresh engine and the fidelity engine do, and hold the same memory
+ * as the fresh engine afterwards: a warm load resets everything the
+ * previous run dirtied, and a reused query is the fresh compile.
  */
 TEST(FastEngine, WarmEngineRerunsAreIdentical)
 {
+    std::vector<WarmStep> steps = warmSteps();
+    const interp::RunLimits limits = warmLimits();
+    interp::Engine fidelity;
+    for (WarmStep &s : steps) {
+        fidelity.load(*s.image);
+        s.fidelity = fidelity.solve(s.query, limits);
+        ASSERT_EQ(s.fidelity.status, interp::RunStatus::Ok) << s.label;
+    }
+    auto index = [&](const std::string &label) {
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+            if (steps[i].label == label)
+                return i;
+        }
+        ADD_FAILURE() << "no step " << label;
+        return std::size_t{0};
+    };
+
+    // A fixed opening - A, a 20k-element answer, B, A again; runs
+    // that write the heap, back to back on their image; one image
+    // under several queries - then a seeded walk over the pool, which
+    // revisits images (same query or not) and switches between them.
+    const std::vector<std::size_t> opening = {
+        index("nreverse30"), index("20k answer"), index("qsort50"),
+        index("nreverse30"), index("global_set"), index("global_set"),
+        index("vectors"), index("global_set"), index("window2"),
+        index("window2"), index("indexed app(X, Y, Z)"),
+        index("indexed nrev([1,2,3,4,5,6], R)"),
+        index("indexed app(X, Y, Z)"),
+        index("unindexed nrev([1,2,3,4,5,6], R)")};
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        std::vector<std::size_t> order = opening;
+        for (int i = 0; i < 40; ++i)
+            order.push_back(rng() % steps.size());
+
+        fast::FastEngine warm;
+        for (std::size_t k = 0; k < order.size(); ++k) {
+            const WarmStep &s = steps[order[k]];
+            SCOPED_TRACE("step " + std::to_string(k) + ": " + s.label);
+            warm.load(*s.image);
+            interp::RunResult w = warm.solve(s.query, limits);
+
+            fast::FastEngine fresh;
+            fresh.load(*s.image);
+            interp::RunResult f = fresh.solve(s.query, limits);
+
+            expectByteIdentical(w, f);
+            expectByteIdentical(w, s.fidelity);
+            EXPECT_TRUE(warm.sameMemory(fresh));
+        }
+    }
+
+    // Queries that fail to parse or to compile leave nothing behind.
+    {
+        const WarmStep &s = steps[index("indexed nrev([1,2,3,4,5,6], R)")];
+        fast::FastEngine warm;
+        warm.load(*s.image);
+        warm.solve(s.query, limits);
+        EXPECT_THROW(warm.solve("nrev([1,2", limits), FatalError);
+        EXPECT_THROW(warm.solve("nrev(X, Y), X", limits), FatalError);
+        warm.load(*s.image);
+        interp::RunResult w = warm.solve(s.query, limits);
+        fast::FastEngine fresh;
+        fresh.load(*s.image);
+        expectByteIdentical(w, fresh.solve(s.query, limits));
+        EXPECT_TRUE(warm.sameMemory(fresh));
+    }
+
+    // An engine that never loaded an image answers built-in queries,
+    // again after another query.
+    fast::FastEngine bare;
+    interp::Engine bareFidelity;
+    for (const char *q : {"X is 6 * 7", "Y = f(Z, Z)", "X is 6 * 7"}) {
+        SCOPED_TRACE(q);
+        expectByteIdentical(bare.solve(q), bareFidelity.solve(q));
+    }
+
+    // Reruns with no reload in between.
     fast::FastEngine fe;
     for (const auto &p : programs::allPrograms()) {
         SCOPED_TRACE(p.id);
@@ -105,6 +279,36 @@ TEST(FastEngine, WarmEngineRerunsAreIdentical)
         interp::RunResult again = fe.solve(p.query);
         expectByteIdentical(again, first);
     }
+}
+
+/**
+ * A run far beyond the retained page budget maps pages the next load
+ * releases: the footprint follows the last request, not the worker's
+ * largest.
+ */
+TEST(FastEngine, LoadAfterHugeRequestReleasesPagesAboveTheCap)
+{
+    const auto big = kl0::CompiledProgram::compile(
+        "mk(0,[]) :- !.\nmk(N,[N|T]) :- M is N-1, mk(M,T).\n");
+    const auto &p = programs::programById("nreverse30");
+    const auto small = kl0::CompiledProgram::compile(p.source);
+
+    fast::FastEngine fe;
+    fe.load(big);
+    expectCountdownList(fe.solve("mk(50000, L)"), 50000);
+    const std::uint64_t afterRun = fe.mappedWords();
+
+    fe.load(small);
+    EXPECT_LT(fe.mappedWords(), afterRun);
+    EXPECT_LE(fe.mappedWords(), fast::FastEngine::kMaxRetainedWords);
+    expectByteIdentical(fe.solve(p.query), runOnPsi(p).result);
+
+    // A run several times the cap in one area is cut back to it.
+    fe.load(big);
+    ASSERT_EQ(fe.solve("mk(200000, _)").status, interp::RunStatus::Ok);
+    EXPECT_GT(fe.mappedWords(), fast::FastEngine::kMaxRetainedWords);
+    fe.load(small);
+    EXPECT_LE(fe.mappedWords(), fast::FastEngine::kMaxRetainedWords);
 }
 
 TEST(FastEngine, PoolPathMatchesFidelityOnFullRegistry)

@@ -44,6 +44,26 @@ TEST(Symbols, CountsGrow)
     EXPECT_EQ(t.functorCount(), f0 + 1);
 }
 
+TEST(Symbols, TruncateForgetsLaterSymbolsOnly)
+{
+    SymbolTable t;
+    auto keepAtom = t.atom("kept");
+    auto keepFunctor = t.functor("kept", 2);
+    const auto atoms = t.atomCount();
+    const auto functors = t.functorCount();
+    auto gone = t.functor("gone", 1);
+    t.atom("also_gone");
+
+    t.truncate(atoms, functors);
+    EXPECT_EQ(t.atomCount(), atoms);
+    EXPECT_EQ(t.functorCount(), functors);
+    EXPECT_EQ(t.atom("kept"), keepAtom);
+    EXPECT_EQ(t.functor("kept", 2), keepFunctor);
+    // Re-interning hands out the forgotten indices again, in order.
+    EXPECT_EQ(t.functor("again", 1), gone);
+    EXPECT_EQ(t.functorName(gone), "again");
+}
+
 TEST(BuiltinDefs, LookupByNameArity)
 {
     EXPECT_EQ(builtinIndex("is", 2),
