@@ -128,7 +128,7 @@ void
 EngineCore<A>::resetMachine()
 {
     clearMachine();
-    _syms = kl0::SymbolTable();
+    _syms.clear();
     _codegen.restore(kl0::CodeGen::Snapshot{});
 }
 
@@ -137,7 +137,8 @@ void
 EngineCore<A>::load(const kl0::CompiledProgram &image)
 {
     clearMachine();
-    _syms = image.symbols();
+    // Both tables are shared with the image, not copied.
+    _syms.adopt(image.symbolBase());
     _codegen.restore(image.codegen());
     // Query code compiled against this image must use the same
     // compile options.
@@ -1095,18 +1096,20 @@ EngineCore<A>::doCut()
     }
 }
 
-// One engine core, two accounting policies.
-PSI_ENGINE_CORE_MEMBER(void, load(const kl0::CompiledProgram &));
+// One engine core, two accounting policies.  FastEngine installs
+// images and queries its own way (fast/fast_engine.cpp), so the
+// replaying load and the compiling solve exist for fidelity only.
+template void EngineCore<FidelityAcct>::load(const kl0::CompiledProgram &);
+template RunResult EngineCore<FidelityAcct>::solve(const std::string &,
+                                                   const RunLimits &);
+template RunResult EngineCore<FidelityAcct>::solve(const kl0::TermPtr &,
+                                                   const RunLimits &);
 PSI_ENGINE_CORE_MEMBER(void, resetMachine());
 PSI_ENGINE_CORE_MEMBER(void, clearRunState());
 PSI_ENGINE_CORE_MEMBER(void, truncateSymbols(std::uint32_t,
                                              std::uint32_t));
 PSI_ENGINE_CORE_MEMBER(RunResult, run(const kl0::QueryCode &,
                                       const RunLimits &));
-PSI_ENGINE_CORE_MEMBER(RunResult, solve(const std::string &,
-                                        const RunLimits &));
-PSI_ENGINE_CORE_MEMBER(RunResult, solve(const kl0::TermPtr &,
-                                        const RunLimits &));
 PSI_ENGINE_CORE_MEMBER(bool, runNested(std::uint32_t, std::uint64_t));
 
 } // namespace interp

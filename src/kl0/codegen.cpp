@@ -558,6 +558,11 @@ CodeGen::compilePredicate(const PredId &id,
     // previously compiled clauses followed by the new ones.
     auto [slot, inserted] = _clauses.try_emplace(f);
     std::vector<std::uint32_t> &addrs = slot->second;
+    if (inserted && _base) {
+        auto b = _base->find(f);
+        if (b != _base->end())
+            addrs = b->second;
+    }
     _undo.push_back({f, addrs.size(), inserted});
     for (const auto &cl : clauses) {
         VarMap vars;
@@ -584,6 +589,18 @@ CodeGen::compile(const Program &program)
 {
     for (const auto &id : program.predicates())
         compilePredicate(id, program.clauses(id));
+}
+
+CodeGen::Snapshot
+CodeGen::snapshot() const
+{
+    if (_clauses.empty())
+        return {_cursor, _base};
+    auto merged =
+        std::make_shared<ClauseTable>(_base ? *_base : ClauseTable{});
+    for (const auto &[f, addrs] : _clauses)
+        (*merged)[f] = addrs;
+    return {_cursor, std::move(merged)};
 }
 
 void

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -186,31 +187,46 @@ class CodeGen
     /** Total instruction-code words emitted (for reports). */
     std::uint32_t codeWords() const { return _cursor - kCodeBase; }
 
+    /** Clause addresses per functor index, in clause order. */
+    using ClauseTable =
+        std::map<std::uint32_t, std::vector<std::uint32_t>>;
+
     /**
      * The generator's whole post-compile state: the heap cursor and
      * the per-functor clause-address table.  Captured once by the
      * program compiler and restored into any engine that installs the
-     * matching heap image (CompiledProgram / Engine::load).
+     * matching heap image (CompiledProgram / Engine::load).  The
+     * table is immutable and shared, so a restore copies nothing.
      */
     struct Snapshot
     {
         std::uint32_t cursor = kCodeBase;
-        std::map<std::uint32_t, std::vector<std::uint32_t>> clauses;
+        std::shared_ptr<const ClauseTable> clauses; ///< null = empty
     };
 
-    Snapshot snapshot() const { return Snapshot{_cursor, _clauses}; }
+    /** The clause table restored last (shared, immutable). */
+    const ClauseTable *clauseBase() const { return _base.get(); }
+
+    /** The current state; shares the restored table when nothing
+     *  was compiled since, else builds the merged one. */
+    Snapshot snapshot() const;
 
     /**
-     * Restore a snapshot.  The query counter restarts at zero so the
-     * first query compiled afterwards names its predicate `$query1`,
-     * exactly as on a freshly consulted engine - part of the
-     * byte-identity contract of the warm-engine path.
+     * Restore a snapshot: its clause table becomes the generator's
+     * immutable base, and later compiles keep their own changes
+     * beside it (copying a base entry only when a consult appends to
+     * a predicate the image already defines).  The query counter
+     * restarts at zero so the first query compiled afterwards names
+     * its predicate `$query1`, exactly as on a freshly consulted
+     * engine - part of the byte-identity contract of the warm-engine
+     * path.
      */
     void
     restore(const Snapshot &s)
     {
         _cursor = s.cursor;
-        _clauses = s.clauses;
+        _base = s.clauses;
+        _clauses.clear();
         _undo.clear();
         _restoredCursor = s.cursor;
         _queryCounter = 0;
@@ -218,10 +234,10 @@ class CodeGen
     }
 
     /**
-     * Return to the state the last restore() left, without copying
-     * the snapshot again: undo every clause-table change made since
-     * (in reverse) and rewind the heap cursor and query counter.
-     * The heap words emitted since are the caller's to clear.
+     * Return to the state the last restore() left: undo every
+     * clause-table change made since (in reverse) and rewind the heap
+     * cursor and query counter.  The heap words emitted since are the
+     * caller's to clear.
      */
     void rewind();
 
@@ -286,15 +302,18 @@ class CodeGen
     SymbolTable *_syms;
     CompileOptions _opts;
     std::uint32_t _cursor = kCodeBase;
-    /** All clause addresses per functor, across compile() calls, so
-     *  incremental consulting appends instead of replacing. */
-    std::map<std::uint32_t, std::vector<std::uint32_t>> _clauses;
-    /** One clause-table change since the last restore(). */
+    /** The restored clause table, immutable and shared. */
+    std::shared_ptr<const ClauseTable> _base;
+    /** Clause addresses of the functors compiled since the restore,
+     *  across compile() calls, so incremental consulting appends
+     *  instead of replacing; an entry here overrides the base's. */
+    ClauseTable _clauses;
+    /** One change to _clauses since the last restore(). */
     struct Undo
     {
         std::uint32_t functor;
         std::size_t clauses;   ///< table length before the change
-        bool inserted;         ///< the table did not exist before
+        bool inserted;         ///< _clauses had no entry before
     };
     std::vector<Undo> _undo;
     std::uint32_t _restoredCursor = kCodeBase;

@@ -14,12 +14,18 @@
  *    reproduces the exact logical-to-physical page assignment (and
  *    with it the cache set mapping and every cache statistic) of an
  *    engine that consulted the source directly;
+ *  - the same heap words as a dense copy - the predicate directory
+ *    entries and the code [kCodeBase, heapTop) - which an engine
+ *    without a cache model installs with two block copies;
  *  - the symbol table, so atom/functor indices in the image resolve
  *    identically;
  *  - the code generator snapshot (heap cursor + clause directory),
  *    so queries compiled against the image land at the same
  *    addresses a consulting engine would use.
  *
+ * The symbol table and the snapshot's clause table are immutable and
+ * held by shared pointer: an engine adopts them as the base of its
+ * own tables in O(1) and keeps only what its query compiles append.
  * A CompiledProgram never touches engine state and is immutable
  * after construction, so one instance may be shared by any number of
  * threads (the psid ProgramCache hands out shared_ptrs to workers).
@@ -31,6 +37,7 @@
 #define PSI_KL0_COMPILED_PROGRAM_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,8 +73,21 @@ class CompiledProgram
     /** The heap image as stores in emission order. */
     const std::vector<PokeRecord> &image() const { return _image; }
 
+    /** Heap words [kDirBase, kDirBase + size): the directory up to
+     *  its last predicate entry, Undef where no predicate is. */
+    const std::vector<TaggedWord> &directory() const { return _dir; }
+
+    /** Heap words [kCodeBase, heapTop()): the instruction code. */
+    const std::vector<TaggedWord> &code() const { return _code; }
+
     /** Interned symbols referenced by the image. */
-    const SymbolTable &symbols() const { return _syms; }
+    const SymbolTable &symbols() const { return *_syms; }
+
+    /** The same table, for an engine to adopt as its base. */
+    const std::shared_ptr<const SymbolTable> &symbolBase() const
+    {
+        return _syms;
+    }
 
     /** Code-generator state to restore alongside the image. */
     const CodeGen::Snapshot &codegen() const { return _snapshot; }
@@ -96,7 +116,9 @@ class CompiledProgram
     CompiledProgram() = default;
 
     std::vector<PokeRecord> _image;
-    SymbolTable _syms;
+    std::vector<TaggedWord> _dir;
+    std::vector<TaggedWord> _code;
+    std::shared_ptr<const SymbolTable> _syms;
     CodeGen::Snapshot _snapshot;
     CompileOptions _options;
     std::uint64_t _hash = 0;

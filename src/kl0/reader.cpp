@@ -1,6 +1,7 @@
 #include "kl0/reader.hpp"
 
 #include <map>
+#include <string>
 
 #include "base/logging.hpp"
 
@@ -154,6 +155,16 @@ Reader::parseList()
 }
 
 TermPtr
+Reader::parseVar()
+{
+    std::string name = cur().text;
+    advance();
+    if (name == "_")
+        name = "_G" + std::to_string(++_anonCounter);
+    return Term::var(std::move(name));
+}
+
+TermPtr
 Reader::parsePrimary(int max_prec)
 {
     const Token &t = cur();
@@ -163,13 +174,8 @@ Reader::parsePrimary(int max_prec)
         advance();
         return Term::integer(v);
       }
-      case TokKind::Var: {
-        std::string name = t.text;
-        advance();
-        if (name == "_")
-            name = "_G" + std::to_string(++_anonCounter);
-        return Term::var(name);
-      }
+      case TokKind::Var:
+        return parseVar();
       case TokKind::Punct:
         if (t.text == "(") {
             advance();
@@ -195,7 +201,9 @@ Reader::parsePrimary(int max_prec)
         }
         syntaxError("unexpected punctuation");
       case TokKind::Atom: {
-        std::string name = t.text;
+        // Tokens outlive the parse, so names are read in place: the
+        // reader recurses through here once per nesting level.
+        const std::string &name = t.text;
         // Compound term: atom immediately followed by '('.
         if (ahead().isPunct("(")) {
             advance();
@@ -230,22 +238,33 @@ Reader::parsePrimary(int max_prec)
 TermPtr
 Reader::parse(int max_prec)
 {
+    // Each nested term, bracket or right operand recurses here once.
+    struct Nest
+    {
+        std::uint32_t &n;
+        ~Nest() { --n; }
+    } nest{++_nesting};
+    if (_nesting > kMaxTermDepth)
+        syntaxError("term nested deeper than " +
+                    std::to_string(kMaxTermDepth));
     TermPtr left = parsePrimary(max_prec);
     int left_prec = 0;
 
+    static const std::string kComma = ",";
+    static const std::string kSemicolon = ";";
     for (;;) {
-        std::string name;
+        const std::string *name;
         if (cur().kind == TokKind::Atom) {
-            name = cur().text;
+            name = &cur().text;
         } else if (cur().isPunct(",")) {
-            name = ",";
+            name = &kComma;
         } else if (cur().isPunct("|")) {
             // '|' as an infix alternative separator (rare); treat as ';'.
-            name = ";";
+            name = &kSemicolon;
         } else {
             break;
         }
-        auto it = infixOps().find(name);
+        auto it = infixOps().find(*name);
         if (it == infixOps().end())
             break;
         const OpDef &op = it->second;
@@ -257,7 +276,7 @@ Reader::parse(int max_prec)
             break;
         advance();
         TermPtr right = parse(right_max);
-        left = Term::compound(name, {left, right});
+        left = Term::compound(*name, {left, right});
         left_prec = op.prec;
     }
     return left;
@@ -271,6 +290,11 @@ Reader::readClause()
     TermPtr t = parse(1200);
     if (cur().kind != TokKind::End)
         syntaxError("expected '.' at end of clause");
+    // Lists and left-associative operator chains are read in a loop,
+    // so their depth is checked on the result.
+    if (t->depth() > kMaxTermDepth)
+        syntaxError("term deeper than " + std::to_string(kMaxTermDepth) +
+                    " levels (list elements count as levels)");
     advance();
     return t;
 }

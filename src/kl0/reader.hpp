@@ -11,6 +11,7 @@
 #ifndef PSI_KL0_READER_HPP
 #define PSI_KL0_READER_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,19 @@
 
 namespace psi {
 namespace kl0 {
+
+/**
+ * Deepest term the reader accepts, and deepest nesting it reads.
+ * The reader and every consumer of a read term - normalize, the code
+ * generator, the engines' skeleton instantiation - recurse once per
+ * level, list cells and operator chains included, so a deeper term
+ * would overflow the 8 MiB stack of a service worker.  Measured on
+ * x86-64 (GCC 12): at most 570 bytes of stack per level in a release
+ * build and 2.5 KB under AddressSanitizer, so this bound keeps the
+ * deepest recursion near 1.1 MiB and 4.9 MiB.  Text beyond it is a
+ * syntax error (FatalError).
+ */
+constexpr std::uint32_t kMaxTermDepth = 2000;
 
 /** Parses program text into clause terms. */
 class Reader
@@ -40,6 +54,7 @@ class Reader
 
     TermPtr parse(int max_prec);
     TermPtr parsePrimary(int max_prec);
+    TermPtr parseVar();
     TermPtr parseArgList(const std::string &functor);
     TermPtr parseList();
 
@@ -48,6 +63,7 @@ class Reader
 
     std::vector<Token> _tokens;
     std::size_t _pos = 0;
+    std::uint32_t _nesting = 0; ///< parse() calls under way
     std::uint64_t _anonCounter = 0;
 };
 

@@ -11,64 +11,82 @@ SymbolTable::SymbolTable()
     _true = atom("true");
 }
 
+void
+SymbolTable::adopt(std::shared_ptr<const SymbolTable> base)
+{
+    PSI_ASSERT(base && !base->_base, "a symbol base must be flat");
+    _names.clear();
+    _atomNames.clear();
+    _atoms.clear();
+    _functors.clear();
+    _functorIds.clear();
+    _baseAtomNames = base->_atomNames.data();
+    _baseFunctorData = base->_functors.data();
+    _baseAtoms = base->atomCount();
+    _baseFunctors = base->functorCount();
+    _base = std::move(base);
+}
+
+void
+SymbolTable::clear()
+{
+    *this = SymbolTable();
+}
+
 std::uint32_t
 SymbolTable::atom(const std::string &name)
 {
+    if (_base) {
+        auto it = _base->_atoms.find(name);
+        if (it != _base->_atoms.end())
+            return it->second;
+    }
     auto it = _atoms.find(name);
     if (it != _atoms.end())
         return it->second;
-    auto idx = static_cast<std::uint32_t>(_atomNames.size());
-    _atoms.emplace(name, idx);
-    _atomNames.push_back(name);
+    const std::uint32_t idx = atomCount();
+    const std::string &stored = _names.emplace_back(name);
+    _atomNames.push_back(&stored);
+    _atoms.emplace(stored, idx);
     return idx;
 }
 
 std::uint32_t
 SymbolTable::functor(const std::string &name, std::uint32_t arity)
 {
-    auto key = std::make_pair(atom(name), arity);
+    const std::uint32_t a = atom(name);
+    const std::uint64_t key = functorKey(a, arity);
+    if (_base) {
+        auto it = _base->_functorIds.find(key);
+        if (it != _base->_functorIds.end())
+            return it->second;
+    }
     auto it = _functorIds.find(key);
     if (it != _functorIds.end())
         return it->second;
-    auto idx = static_cast<std::uint32_t>(_functors.size());
+    const std::uint32_t idx = functorCount();
     _functorIds.emplace(key, idx);
-    _functors.push_back(key);
+    _functors.push_back({&atomName(a), a, arity});
     return idx;
 }
 
 void
 SymbolTable::truncate(std::uint32_t atoms, std::uint32_t functors)
 {
-    PSI_ASSERT(atoms >= 2 && atoms <= _atomNames.size() &&
-                   functors <= _functors.size(),
-               "symbol table truncated past its own end");
-    for (std::size_t i = functors; i < _functors.size(); ++i)
-        _functorIds.erase(_functors[i]);
-    _functors.resize(functors);
-    for (std::size_t i = atoms; i < _atomNames.size(); ++i)
-        _atoms.erase(_atomNames[i]);
-    _atomNames.resize(atoms);
-}
-
-const std::string &
-SymbolTable::atomName(std::uint32_t idx) const
-{
-    PSI_ASSERT(idx < _atomNames.size(), "atom index ", idx);
-    return _atomNames[idx];
-}
-
-const std::string &
-SymbolTable::functorName(std::uint32_t idx) const
-{
-    PSI_ASSERT(idx < _functors.size(), "functor index ", idx);
-    return _atomNames[_functors[idx].first];
-}
-
-std::uint32_t
-SymbolTable::functorArity(std::uint32_t idx) const
-{
-    PSI_ASSERT(idx < _functors.size(), "functor index ", idx);
-    return _functors[idx].second;
+    PSI_ASSERT(atoms >= 2 && atoms >= _baseAtoms &&
+                   atoms <= atomCount() && functors >= _baseFunctors &&
+                   functors <= functorCount(),
+               "symbol table truncated past its own end or base");
+    while (functorCount() > functors) {
+        const Functor &f = _functors.back();
+        _functorIds.erase(functorKey(f.atom, f.arity));
+        _functors.pop_back();
+    }
+    while (atomCount() > atoms) {
+        _atoms.erase(_names.back());
+        _atomNames.pop_back();
+        _names.pop_back();
+    }
 }
 
 } // namespace kl0

@@ -1,5 +1,6 @@
 #include "kl0/term.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -7,6 +8,66 @@
 
 namespace psi {
 namespace kl0 {
+
+Term::Term(Kind k, std::string name, std::int64_t v,
+           std::vector<TermPtr> args)
+    : _kind(k), _name(std::move(name)), _value(v), _args(std::move(args))
+{
+    for (const TermPtr &a : _args)
+        _depth = std::max(_depth, a->_depth + 1);
+}
+
+namespace {
+
+/** Terms up to this deep are released recursively (a few KiB of
+ *  stack); deeper ones through the worklist. */
+constexpr std::uint32_t kRecursiveReleaseDepth = 64;
+
+/** Subterms whose release is deferred to the outermost ~Term of this
+ *  thread; null when no release is under way. */
+thread_local std::vector<TermPtr> *t_releasing = nullptr;
+
+/** True when dropping @p t here would destroy a compound term. */
+bool
+lastCompoundRef(const TermPtr &t)
+{
+    return t.use_count() == 1 && t->isCompound();
+}
+
+} // namespace
+
+Term::~Term()
+{
+    // Releasing the arguments recursively would nest one destructor
+    // per level of the term, so a deep chain overflows the stack.
+    // Instead the outermost destructor of a deep term drains a
+    // worklist, and every deep destructor it triggers hands its
+    // compound arguments to that list rather than releasing them
+    // itself.  Shallow terms, nearly all of them, skip the list.
+    if (_depth <= kRecursiveReleaseDepth)
+        return;
+    if (t_releasing) {
+        for (TermPtr &a : _args) {
+            if (lastCompoundRef(a))
+                t_releasing->push_back(std::move(a));
+        }
+        return;
+    }
+    std::vector<TermPtr> pending;
+    for (TermPtr &a : _args) {
+        if (lastCompoundRef(a))
+            pending.push_back(std::move(a));
+    }
+    if (pending.empty())
+        return;
+    t_releasing = &pending;
+    while (!pending.empty()) {
+        TermPtr t = std::move(pending.back());
+        pending.pop_back();
+        t.reset();
+    }
+    t_releasing = nullptr;
+}
 
 TermPtr
 Term::var(std::string name)

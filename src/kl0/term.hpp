@@ -22,7 +22,14 @@ namespace kl0 {
 class Term;
 using TermPtr = std::shared_ptr<const Term>;
 
-/** Immutable first-order term: variable, atom, integer or compound. */
+/**
+ * Immutable first-order term: variable, atom, integer or compound.
+ *
+ * Terms of any depth are released without recursion (a list of a
+ * million cells is a chain that deep), and each term knows its depth,
+ * so a consumer that recurses over terms can refuse one too deep for
+ * its stack in O(1).
+ */
 class Term
 {
   public:
@@ -47,6 +54,10 @@ class Term
     static TermPtr nil();
     /// @}
 
+    ~Term();
+    Term(const Term &) = delete;
+    Term &operator=(const Term &) = delete;
+
     Kind kind() const { return _kind; }
     bool isVar() const { return _kind == Kind::Var; }
     bool isAtom() const { return _kind == Kind::Atom; }
@@ -65,6 +76,9 @@ class Term
     std::int64_t value() const { return _value; }
     const std::vector<TermPtr> &args() const { return _args; }
     std::size_t arity() const { return _args.size(); }
+    /** Nesting depth: 1 for an atomic term, else 1 + the deepest
+     *  argument's (a list of n elements is at least n + 1 deep). */
+    std::uint32_t depth() const { return _depth; }
 
     /** Structural equality; variables compare by name. */
     bool equals(const Term &o) const;
@@ -81,12 +95,10 @@ class Term
 
   private:
     Term(Kind k, std::string name, std::int64_t v,
-         std::vector<TermPtr> args)
-        : _kind(k), _name(std::move(name)), _value(v),
-          _args(std::move(args))
-    {}
+         std::vector<TermPtr> args);
 
     Kind _kind;
+    std::uint32_t _depth = 1;
     std::string _name;
     std::int64_t _value = 0;
     std::vector<TermPtr> _args;

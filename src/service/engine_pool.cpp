@@ -188,10 +188,12 @@ EnginePool::workerMain(unsigned index)
                                   trace::nowNs());
                 const bool fast =
                     job->query.mode == interp::ExecMode::Fast;
+                fast::FastEngine::Counters fastBefore;
                 if (fast) {
                     if (!fastEngine)
                         fastEngine =
                             std::make_unique<fast::FastEngine>();
+                    fastBefore = fastEngine->counters();
                     fastEngine->load(*image);
                 } else {
                     engine.load(*image, job->query.cache);
@@ -213,6 +215,14 @@ EnginePool::workerMain(unsigned index)
                         job->query.program.query, limits);
                     out.indexHits = fastEngine->indexHits();
                     out.indexFallbacks = fastEngine->indexFallbacks();
+                    const fast::FastEngine::Counters &c =
+                        fastEngine->counters();
+                    out.fastImageInstalls =
+                        c.imageInstalls - fastBefore.imageInstalls;
+                    out.fastQueryCompiles =
+                        c.queryCompiles - fastBefore.queryCompiles;
+                    out.fastQueryReuses =
+                        c.queryReuses - fastBefore.queryReuses;
                 } else {
                     out.run.result = engine.solve(
                         job->query.program.query, limits);

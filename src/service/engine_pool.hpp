@@ -109,6 +109,14 @@ struct JobOutcome
     std::uint64_t indexHits = 0;
     /** Indexed calls that fell back to the linear clause chain. */
     std::uint64_t indexFallbacks = 0;
+    /** @name Fast-engine install path (fast jobs only)
+     * Whether the job's load copied an image in, and whether its
+     * query was compiled or run from a kept compile. */
+    /// @{
+    std::uint64_t fastImageInstalls = 0;
+    std::uint64_t fastQueryCompiles = 0;
+    std::uint64_t fastQueryReuses = 0;
+    /// @}
     /** True when the deadline budget was exhausted by queue wait
      *  alone; the job completed as Timeout without running. */
     bool expired = false;

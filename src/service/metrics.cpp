@@ -70,6 +70,9 @@ WorkerMetrics::record(const JobOutcome &outcome)
     inferences += outcome.run.result.inferences;
     indexHits += outcome.indexHits;
     indexFallbacks += outcome.indexFallbacks;
+    fastImageInstalls += outcome.fastImageInstalls;
+    fastQueryCompiles += outcome.fastQueryCompiles;
+    fastQueryReuses += outcome.fastQueryReuses;
     modelNs += outcome.run.result.timeNs;
     stallNs += outcome.run.stallNs;
     hostExecNs += outcome.execNs;
@@ -101,6 +104,9 @@ WorkerMetrics::merge(const WorkerMetrics &other)
     inferences += other.inferences;
     indexHits += other.indexHits;
     indexFallbacks += other.indexFallbacks;
+    fastImageInstalls += other.fastImageInstalls;
+    fastQueryCompiles += other.fastQueryCompiles;
+    fastQueryReuses += other.fastQueryReuses;
     modelNs += other.modelNs;
     stallNs += other.stallNs;
     hostExecNs += other.hostExecNs;
@@ -159,6 +165,9 @@ MetricsSnapshot::table(std::uint64_t wall_ns) const
     row("inferences", std::to_string(total.inferences));
     row("index hits", std::to_string(total.indexHits));
     row("index fallbacks", std::to_string(total.indexFallbacks));
+    row("fast image installs", std::to_string(total.fastImageInstalls));
+    row("fast query compiles", std::to_string(total.fastQueryCompiles));
+    row("fast query reuses", std::to_string(total.fastQueryReuses));
     row("microsteps", std::to_string(total.steps()));
     row("model time ms", ms(total.modelNs));
     row("memory stall ms", ms(total.stallNs));
@@ -216,6 +225,9 @@ MetricsSnapshot::json(std::uint64_t wall_ns) const
     w.u("inferences", total.inferences);
     w.u("index_hits", total.indexHits);
     w.u("index_fallbacks", total.indexFallbacks);
+    w.u("fast_image_installs", total.fastImageInstalls);
+    w.u("fast_query_compiles", total.fastQueryCompiles);
+    w.u("fast_query_reuses", total.fastQueryReuses);
     w.u("microsteps", total.steps());
     w.u("model_ns", total.modelNs);
     w.u("stall_ns", total.stallNs);
@@ -297,6 +309,9 @@ MetricsSnapshot::prometheus(std::uint64_t wall_ns) const
     counter("psi_inferences_total", total.inferences);
     counter("psi_index_hits_total", total.indexHits);
     counter("psi_index_fallbacks_total", total.indexFallbacks);
+    counter("psi_fast_image_installs_total", total.fastImageInstalls);
+    counter("psi_fast_query_compiles_total", total.fastQueryCompiles);
+    counter("psi_fast_query_reuses_total", total.fastQueryReuses);
     counter("psi_microsteps_total", total.steps());
     seconds("psi_model_seconds_total", total.modelNs);
     seconds("psi_stall_seconds_total", total.stallNs);

@@ -62,6 +62,12 @@ struct WorkerMetrics
     std::uint64_t indexHits = 0;      ///< calls served via the index
     std::uint64_t indexFallbacks = 0; ///< indexed calls gone linear
     /// @}
+    /** @name Fast-engine install path (fast jobs) */
+    /// @{
+    std::uint64_t fastImageInstalls = 0; ///< loads that copied an image
+    std::uint64_t fastQueryCompiles = 0; ///< queries parsed + compiled
+    std::uint64_t fastQueryReuses = 0;   ///< queries run from a record
+    /// @}
     std::uint64_t modelNs = 0;     ///< model clock (steps + stalls)
     std::uint64_t stallNs = 0;     ///< memory stall share
     std::uint64_t hostExecNs = 0;  ///< host time spent executing

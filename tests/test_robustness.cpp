@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "psi.hpp"
 
 using namespace psi;
@@ -80,6 +84,103 @@ TEST(Robustness, DeepNestingParsesAndRuns)
     eng.consult("deep(" + term + ").");
     auto r = eng.solve("deep(X), deep(X)");
     EXPECT_TRUE(r.succeeded());
+}
+
+/** @p n elements "1,1,...". */
+std::string
+ones(std::uint32_t n)
+{
+    std::string s = "1";
+    for (std::uint32_t i = 1; i < n; ++i)
+        s += ",1";
+    return s;
+}
+
+/** @p n levels of f(...) around @p inner. */
+std::string
+nested(std::uint32_t n, const std::string &inner)
+{
+    std::string s;
+    for (std::uint32_t i = 0; i < n; ++i)
+        s += "f(";
+    return s + inner + std::string(n, ')');
+}
+
+/**
+ * A term of a million list cells is a chain a million shared pointers
+ * deep; releasing it must not recurse once per cell.
+ */
+TEST(Robustness, MillionElementListReleasesWithoutRecursion)
+{
+    {
+        std::vector<kl0::TermPtr> elems(1'000'000, kl0::Term::integer(1));
+        kl0::TermPtr list = kl0::Term::list(std::move(elems));
+        EXPECT_EQ(list->depth(), 1'000'001u);
+    }
+    // A left-deep operator chain and a nest of compounds, likewise.
+    kl0::TermPtr chain = kl0::Term::integer(0);
+    kl0::TermPtr nest = kl0::Term::atom("x");
+    for (int i = 0; i < 200'000; ++i) {
+        chain = kl0::Term::compound("+", {chain, kl0::Term::integer(i)});
+        nest = kl0::Term::compound("f", {nest});
+    }
+    chain.reset();
+    nest.reset();
+    SUCCEED();
+}
+
+/**
+ * The reader takes terms up to kl0::kMaxTermDepth levels deep and
+ * raises FatalError past that, whatever makes the depth: nested
+ * compounds, brackets, nested lists, list cells, operator chains.
+ */
+TEST(Robustness, ReaderBoundsTermDepth)
+{
+    const std::uint32_t max = kl0::kMaxTermDepth;
+    struct Shape
+    {
+        const char *name;
+        std::function<std::string(std::uint32_t)> text; ///< n levels deep
+    };
+    const std::vector<Shape> shapes = {
+        {"compounds", [](std::uint32_t n) { return nested(n - 1, "a"); }},
+        {"brackets", // depth 1, but n nested reads
+         [](std::uint32_t n) {
+             return std::string(n - 1, '(') + "a" + std::string(n - 1, ')');
+         }},
+        {"nested lists",
+         [](std::uint32_t n) {
+             return std::string(n, '[') + std::string(n, ']');
+         }},
+        {"list cells",
+         [](std::uint32_t n) { return "[" + ones(n - 1) + "]"; }},
+        {"left chain",
+         [](std::uint32_t n) {
+             std::string s = "1";
+             for (std::uint32_t i = 1; i < n; ++i)
+                 s += "+1";
+             return s;
+         }},
+        {"right chain",
+         [](std::uint32_t n) {
+             std::string s = "true";
+             for (std::uint32_t i = 1; i < n; ++i)
+                 s += ",true";
+             return s;
+         }},
+    };
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(shape.name);
+        EXPECT_NO_THROW(kl0::parseTerm(shape.text(max)));
+        EXPECT_THROW(kl0::parseTerm(shape.text(max + 1)), FatalError);
+        // Program text goes through the same reader.
+        EXPECT_THROW(kl0::Program().consult("p((" + shape.text(max + 1) +
+                                            "))."),
+                     FatalError);
+    }
+    // Far past the bound: refused, never a stack overflow.
+    EXPECT_THROW(kl0::parseTerm(nested(20'000, "a")), FatalError);
+    EXPECT_THROW(kl0::parseTerm("[" + ones(100'000) + "]"), FatalError);
 }
 
 TEST(Robustness, LongListsRoundTrip)
